@@ -28,7 +28,7 @@ from .families import (
     proof_partition,
     spec,
 )
-from .graph import Graph, classify_radius2_tree, metrics
+from .graph import classify_radius2_tree, metrics
 from .graph import Diam4, DoubleStarClass, PathFour, Star
 from .graphio import to_graph6
 from .solvers import (
@@ -48,10 +48,6 @@ class CheckRow:
     detail: str = ""
 
 
-def _solve(g: Graph, kind: str, budget: Optional[int]):
-    return max_partition(g, kind, budget)
-
-
 def _row(check, instance, expected, actual, ok, detail="", soft=False):
     if ok:
         status = "pass"
@@ -65,7 +61,7 @@ def _formula_rows(check: str, specs, budget, soft=False) -> list[CheckRow]:
     for g_spec in specs:
         g = generate(g_spec)
         expected = closed_form_gc(g_spec)
-        res = _solve(g, "gc", budget)
+        res = max_partition(g, "gc", budget)
         if not res.exact:
             rows.append(CheckRow(check, str(g_spec), str(expected), f">={res.value}",
                                  "inconclusive", "budget exhausted"))
@@ -129,7 +125,7 @@ def check_gc_rad2_trees(max_n=11, budget=None):
             expected = shape.ell + 2
         else:  # pragma: no cover
             continue
-        res = _solve(g, "gc", budget)
+        res = max_partition(g, "gc", budget)
         key = f"tree:{to_graph6(g)}"
         if not res.exact:
             rows.append(CheckRow("gc_rad2_trees", key, str(expected), f">={res.value}",
@@ -144,7 +140,7 @@ def check_partner_bound(max_n=7, budget=None):
     rows = []
     for n in range(2, min(max_n, 7) + 1):
         for g in connected_graphs(n):
-            res = _solve(g, "gc", budget)
+            res = max_partition(g, "gc", budget)
             if res.witness is None:
                 continue
             bad = []
@@ -215,8 +211,8 @@ def _rad3_corpus(max_n: int):
 def check_gc_eq_c_rad3(max_n=9, budget=None):
     rows = []
     for key, g in _rad3_corpus(max_n):
-        gc = _solve(g, "gc", budget)
-        c = _solve(g, "c", budget)
+        gc = max_partition(g, "gc", budget)
+        c = max_partition(g, "c", budget)
         if not (gc.exact and c.exact):
             rows.append(CheckRow("gc_eq_c_rad3", f"g6:{key}", "GC=C", "?",
                                  "inconclusive", "budget exhausted"))
@@ -231,8 +227,8 @@ def check_gc_eq_c_girth6(max_n=9, budget=None):
     rows = []
     for g in girth_at_least_6_graphs(max_n):
         key = to_graph6(g)
-        gc = _solve(g, "gc", budget)
-        c = _solve(g, "c", budget)
+        gc = max_partition(g, "gc", budget)
+        c = max_partition(g, "c", budget)
         if not (gc.exact and c.exact):
             rows.append(CheckRow("gc_eq_c_girth6", f"g6:{key}", "GC=C", "?",
                                  "inconclusive", "budget exhausted"))
@@ -250,8 +246,8 @@ def check_gc_vs_prc(max_n=7, budget=None):
         for g in connected_graphs(n):
             if g.full_vertices().bits:
                 continue
-            gc = _solve(g, "gc", budget)
-            prc = _solve(g, "prc", budget)
+            gc = max_partition(g, "gc", budget)
+            prc = max_partition(g, "prc", budget)
             if not (gc.exact and prc.exact):
                 rows.append(CheckRow("gc_vs_prc", f"g6:{to_graph6(g)}", "", "?",
                                      "inconclusive", "budget exhausted"))
@@ -268,8 +264,8 @@ def check_gc_complement(max_n=7, budget=None):
     rows = []
     for n in range(2, min(max_n, 8) + 1):
         for g in connected_graphs(n):
-            gc = _solve(g, "gc", budget)
-            gcc = _solve(g.complement(), "gc", budget)
+            gc = max_partition(g, "gc", budget)
+            gcc = max_partition(g.complement(), "gc", budget)
             if not (gc.exact and gcc.exact):
                 rows.append(CheckRow("gc_complement", f"g6:{to_graph6(g)}", "", "?",
                                      "inconclusive", "budget exhausted"))
@@ -339,7 +335,7 @@ def check_center_bound_unicyclic(max_n=9, budget=None):
                                      "valid center partition", "none valid", "pass",
                                      "bound not asserted"))
                 continue
-            res = _solve(g, "gc", budget)
+            res = max_partition(g, "gc", budget)
             if not res.exact:
                 rows.append(CheckRow(f"center_bound_unicyclic_c{cl}", key, "", "?",
                                      "inconclusive", "budget exhausted"))
@@ -362,7 +358,7 @@ def check_prc_full(max_n=6, budget=None):
     ]
     for g_spec in specs:
         g = generate(g_spec)
-        res = _solve(g, "prc", budget)
+        res = max_partition(g, "prc", budget)
         if not res.exact:
             rows.append(CheckRow("prc_full", str(g_spec), str(g.n), f">={res.value}",
                                  "inconclusive", "budget exhausted"))

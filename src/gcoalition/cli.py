@@ -1,11 +1,13 @@
 """Command-line surface for the toolkit.
 
 Exit codes: 0 success, 1 malformed input (structured error JSON), 2 a
-verification or theorem check came back invalid/failed, 3 solver budget
-exhausted.  All output is deterministic for fixed inputs; wall-clock timings
-are only emitted behind ``--timings`` so byte-identical reruns are the
-default.  ``--threads`` is accepted for interface stability; the exact solver
-runs sequentially, which is what makes its output reproducible.
+verification or theorem check came back invalid/failed, 3 the node budget
+ran out before the value was proved (a budget that runs out only in the
+witness pass exits 0 with ``"lex_least": false``).  All output is
+deterministic for fixed inputs; wall-clock timings are only emitted behind
+``--timings`` so byte-identical reruns are the default.  ``--threads`` is
+accepted for interface stability; the exact solver runs sequentially, which
+is what makes its output reproducible.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ def _solve_payload(res):
         "witness": _witness_lists(res.witness),
         "nodes_explored": res.nodes_explored,
         "exact": res.exact,
+        "lex_least": res.lex_least,
     }
 
 
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(args, argv, payload=None, error=None, elapsed_ms=None):
+def _envelope(args, payload=None, error=None, elapsed_ms=None):
     record = {
         "command": args.subcommand,
         "version": __version__,
@@ -304,11 +307,11 @@ def run(argv) -> tuple[int, str]:
         code, payload = args.fn(args)
     except (GcoalitionError, OSError, ValueError, KeyError) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
-        return 1, _envelope(args, argv, error=error)
+        return 1, _envelope(args, error=error)
     if isinstance(payload, str):  # csv / dot / text are emitted raw
         return code, payload
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3) if args.timings else None
-    return code, _envelope(args, argv, payload=payload, elapsed_ms=elapsed_ms)
+    return code, _envelope(args, payload=payload, elapsed_ms=elapsed_ms)
 
 
 def main(argv=None) -> int:

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import VertexSet
-from .domination import (
-    _dominates,
-    _is_gds,
-    at_most_one_neighbor,
-    is_perfect_dominating,
-)
 from .errors import MalformedPartitionError, OverlappingSetsError
 from .graph import Graph
+from .tables import at_most_one, dominates, is_gds, perfect
 
 KINDS = ("c", "gc", "prc")
 
@@ -86,47 +81,49 @@ class PartitionVerdict:
     violations: tuple
 
 
-def _pair_checks(g: Graph, a: VertexSet, b: VertexSet):
+def _gc_pair(g: Graph, a: int, b: int) -> bool:
+    return not is_gds(g, a) and not is_gds(g, b) and is_gds(g, a | b)
+
+
+def _c_pair(g: Graph, a: int, b: int) -> bool:
+    return not dominates(g, a) and not dominates(g, b) and dominates(g, a | b)
+
+
+def _prc_pair(g: Graph, a: int, b: int) -> bool:
+    return (
+        not dominates(g, a)
+        and not dominates(g, b)
+        and at_most_one(g, a)
+        and at_most_one(g, b)
+        and perfect(g, a | b)
+    )
+
+
+_PAIR = {"c": _c_pair, "gc": _gc_pair, "prc": _prc_pair}
+
+
+def _pair_masks(a: VertexSet, b: VertexSet) -> tuple[int, int]:
     if not a.bits or not b.bits:
         raise OverlappingSetsError("pair sets must be non-empty")
     if a.bits & b.bits:
         raise OverlappingSetsError("pair sets must be disjoint")
+    return a.bits, b.bits
 
 
 def is_gc_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Neither side is a global dominating set but their union is."""
-    _pair_checks(g, a, b)
-    return (
-        not _is_gds(g, a.bits)
-        and not _is_gds(g, b.bits)
-        and _is_gds(g, a.bits | b.bits)
-    )
+    return _gc_pair(g, *_pair_masks(a, b))
 
 
 def is_c_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Neither side dominates but their union does."""
-    _pair_checks(g, a, b)
-    return (
-        not _dominates(g, a.bits)
-        and not _dominates(g, b.bits)
-        and _dominates(g, a.bits | b.bits)
-    )
+    return _c_pair(g, *_pair_masks(a, b))
 
 
 def is_prc_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Perfect coalition pair: non-dominating sides, each seen at most once
     from outside, whose union is a perfect dominating set."""
-    _pair_checks(g, a, b)
-    return (
-        not _dominates(g, a.bits)
-        and not _dominates(g, b.bits)
-        and at_most_one_neighbor(g, a)
-        and at_most_one_neighbor(g, b)
-        and is_perfect_dominating(g, VertexSet(a.bits | b.bits, g.n))
-    )
-
-
-_PAIR_FN = {"c": is_c_pair, "gc": is_gc_pair, "prc": is_prc_pair}
+    return _prc_pair(g, *_pair_masks(a, b))
 
 
 def verify_partition(g: Graph, p: Partition, kind: str) -> PartitionVerdict:
@@ -135,27 +132,28 @@ def verify_partition(g: Graph, p: Partition, kind: str) -> PartitionVerdict:
         raise ValueError(f"unknown partition kind {kind!r}")
     if p.graph_n != g.n:
         raise MalformedPartitionError("partition universe does not match graph")
-    pair = _PAIR_FN[kind]
-    k = len(p.classes)
+    pair = _PAIR[kind]
+    masks = [vs.bits for vs in p.classes]
+    k = len(masks)
     partners = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            if pair(g, p.classes[i], p.classes[j]):
+            if pair(g, masks[i], masks[j]):
                 partners[i].append(j)
                 partners[j].append(i)
     violations = []
-    for i, vs in enumerate(p.classes):
+    for i, m in enumerate(masks):
         if kind == "gc":
-            if _is_gds(g, vs.bits):
+            if is_gds(g, m):
                 violations.append(Violation(i, Reason.IS_GLOBAL_DOMINATING))
             elif not partners[i]:
                 violations.append(Violation(i, Reason.NO_PARTNER))
         else:
-            if _dominates(g, vs.bits):
-                if len(vs) != 1:
+            if dominates(g, m):
+                if m & (m - 1):  # two or more vertices
                     violations.append(Violation(i, Reason.IS_DOMINATING_SINGLETON_EXEMPTION))
                 # singleton dominating class: exempt
-            elif kind == "prc" and not at_most_one_neighbor(g, vs):
+            elif kind == "prc" and not at_most_one(g, m):
                 violations.append(Violation(i, Reason.PERFECT_CONDITION_FAILED))
             elif not partners[i]:
                 violations.append(Violation(i, Reason.NO_PARTNER))
@@ -171,11 +169,8 @@ def count_gc_partners(g: Graph, p: Partition, i: int) -> int:
     """Number of classes forming a global coalition with class ``i``."""
     if not 0 <= i < len(p.classes):
         raise IndexError(f"class index {i} out of range")
-    return sum(
-        1
-        for j in range(len(p.classes))
-        if j != i and is_gc_pair(g, p.classes[i], p.classes[j])
-    )
+    masks = [vs.bits for vs in p.classes]
+    return sum(1 for j, m in enumerate(masks) if j != i and _gc_pair(g, masks[i], m))
 
 
 def gc_partner_bound(g: Graph, a: VertexSet) -> int:
@@ -197,11 +192,12 @@ def build_gcg(g: Graph, p: Partition) -> CoalitionGraph:
     """Graph on partition classes; edges are the global coalition pairs."""
     if p.graph_n != g.n:
         raise MalformedPartitionError("partition universe does not match graph")
-    k = len(p.classes)
+    masks = [vs.bits for vs in p.classes]
+    k = len(masks)
     adj = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            if is_gc_pair(g, p.classes[i], p.classes[j]):
+            if _gc_pair(g, masks[i], masks[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return CoalitionGraph(base=Graph(k, adj), class_map=tuple(p.classes))

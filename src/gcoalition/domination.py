@@ -1,9 +1,7 @@
-"""Domination predicates and invariants.
+"""Domination predicates on vertex sets, and domination invariants.
 
-Global domination is always checked against the virtual complement: a vertex
-``v`` outside ``S`` is uncovered in the complement exactly when ``S`` is
-contained in the open neighborhood of ``v``, so the complement graph is never
-materialized.
+The predicates themselves are defined once, on masks, in :mod:`.tables`;
+this module wraps them for :class:`VertexSet` arguments.
 """
 
 from __future__ import annotations
@@ -15,32 +13,7 @@ from typing import NamedTuple
 from .bitset import VertexSet, bits_of
 from .errors import NotGlobalDominatingError
 from .graph import Graph
-
-
-def _closed_union(g: Graph, mask: int) -> int:
-    cover = 0
-    for v in bits_of(mask):
-        cover |= g.adj[v] | 1 << v
-    return cover
-
-
-def _dominates(g: Graph, mask: int) -> bool:
-    return _closed_union(g, mask) == g.full_mask
-
-
-def _uncovered_complement(g: Graph, mask: int) -> int:
-    """Vertices not dominated by ``mask`` in the complement of ``g``."""
-    out = 0
-    for v in range(g.n):
-        if mask >> v & 1:
-            continue
-        if not mask & ~g.adj[v]:  # mask is a subset of N(v)
-            out |= 1 << v
-    return out
-
-
-def _is_gds(g: Graph, mask: int) -> bool:
-    return _dominates(g, mask) and not _uncovered_complement(g, mask)
+from .tables import Tables, at_most_one, cover, dominates, is_gds, perfect
 
 
 @dataclass(frozen=True)
@@ -60,12 +33,13 @@ class DominationReport:
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """True iff the union of closed neighborhoods over ``s`` covers V."""
-    return _dominates(g, s.bits)
+    return dominates(g, s.bits)
 
 
 def is_global_dominating(g: Graph, s: VertexSet) -> DominationReport:
-    uncovered = g.full_mask & ~_closed_union(g, s.bits)
-    uncovered_c = _uncovered_complement(g, s.bits)
+    c, cc = cover(g, s.bits)
+    uncovered = g.full_mask & ~c
+    uncovered_c = g.full_mask & ~cc
     return DominationReport(
         dominates_g=not uncovered,
         dominates_complement=not uncovered_c,
@@ -76,20 +50,12 @@ def is_global_dominating(g: Graph, s: VertexSet) -> DominationReport:
 
 def is_perfect_dominating(g: Graph, s: VertexSet) -> bool:
     """Every vertex outside ``s`` has exactly one neighbor inside ``s``."""
-    mask = s.bits
-    for v in range(g.n):
-        if not mask >> v & 1 and bin(g.adj[v] & mask).count("1") != 1:
-            return False
-    return True
+    return perfect(g, s.bits)
 
 
 def at_most_one_neighbor(g: Graph, s: VertexSet) -> bool:
     """Every vertex outside ``s`` has at most one neighbor inside ``s``."""
-    mask = s.bits
-    for v in range(g.n):
-        if not mask >> v & 1 and bin(g.adj[v] & mask).count("1") > 1:
-            return False
-    return True
+    return at_most_one(g, s.bits)
 
 
 class MinSet(NamedTuple):
@@ -103,19 +69,19 @@ def _min_set(g: Graph, accept) -> MinSet:
             mask = 0
             for v in combo:
                 mask |= 1 << v
-            if accept(mask):
+            if accept(g, mask):
                 return MinSet(size, VertexSet(mask, g.n))
     raise AssertionError("V itself always qualifies")  # pragma: no cover
 
 
 def gamma(g: Graph) -> MinSet:
     """Domination number with a lexicographically-first witness."""
-    return _min_set(g, lambda m: _dominates(g, m))
+    return _min_set(g, dominates)
 
 
 def gamma_g(g: Graph) -> MinSet:
     """Global domination number with a lexicographically-first witness."""
-    return _min_set(g, lambda m: _is_gds(g, m))
+    return _min_set(g, is_gds)
 
 
 def minimal_gds_within(g: Graph, s: VertexSet) -> VertexSet:
@@ -126,11 +92,11 @@ def minimal_gds_within(g: Graph, s: VertexSet) -> VertexSet:
     domination is monotone under vertex addition.
     """
     mask = s.bits
-    if not _is_gds(g, mask):
+    if not is_gds(g, mask):
         raise NotGlobalDominatingError("input set is not a global dominating set")
     for v in list(bits_of(mask)):
         trial = mask & ~(1 << v)
-        if trial and _is_gds(g, trial):
+        if trial and is_gds(g, trial):
             mask = trial
     return VertexSet(mask, g.n)
 
@@ -150,7 +116,7 @@ def global_domatic(g: Graph) -> DomaticWitness:
     """
     n = g.n
     gg = gamma_g(g).value
-    closed = [g.adj[v] | 1 << v for v in range(n)]
+    gds = Tables(g).gds
 
     def try_k(k: int):
         if k == 1:
@@ -162,7 +128,7 @@ def global_domatic(g: Graph) -> DomaticWitness:
             if result is not None:
                 return
             if i == n:
-                if len(classes) == k and all(_is_gds(g, m) for m in classes):
+                if len(classes) == k and all(gds[m] for m in classes):
                     result = list(classes)
                 return
             bit = 1 << i
@@ -184,7 +150,7 @@ def global_domatic(g: Graph) -> DomaticWitness:
             if bin(remaining).count("1") < k - len(classes):
                 return False
             for m in classes:
-                if not _is_gds(g, m | remaining):
+                if not gds[m | remaining]:
                     return False
             return True
 

@@ -1,7 +1,7 @@
 """Exact maximum-partition solvers and the constructive algorithms.
 
-The maximizer runs restricted-growth branch-and-bound twice: a first pass in
-new-class-first order finds the optimal class count quickly (good bound
+The maximizer runs one restricted-growth branch-and-bound twice: a first pass
+in new-class-first order finds the optimal class count quickly (good bound
 pruning), a second pass in lexicographic order recovers the lexicographically
 least witness of that size.  Classes that become (global) dominating sets are
 pruned on the spot because both properties are monotone under vertex
@@ -16,10 +16,10 @@ from typing import Optional
 
 from .bitset import VertexSet, bits_of
 from .coalition import Partition
-from .domination import _is_gds, global_domatic, minimal_gds_within
+from .domination import global_domatic, minimal_gds_within
 from .errors import TrivialGraphError
 from .graph import Graph
-from .tables import Tables
+from .tables import Tables, is_gds
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -32,9 +32,14 @@ class SolveResult:
     nodes_explored: int
     elapsed: float
     exact: bool
+    lex_least: bool
 
 
 class _BudgetExhausted(Exception):
+    pass
+
+
+class _Found(Exception):
     pass
 
 
@@ -48,25 +53,16 @@ def _valid_gc(masks, gds):
     return True
 
 
-def _valid_c(masks, dom):
+def _valid_exempt(masks, exempt, union):
+    """Leaf rule of the exempting kinds: every class that is not an exempt
+    singleton has a non-exempt partner with ``union[mi | mj]``; c passes
+    ``(dom, dom)``, prc ``(dom, perf)``.  Exempt classes of size >= 2 were
+    pruned during the search, and for prc so were at-most-one violations."""
     for i, mi in enumerate(masks):
-        if dom[mi]:
-            continue  # singleton dominating class, exempt (size>=2 was pruned)
-        for j, mj in enumerate(masks):
-            if j != i and not dom[mj] and dom[mi | mj]:
-                break
-        else:
-            return False
-    return True
-
-
-def _valid_prc(masks, dom, perf):
-    # at-most-one consistency holds for every class by incremental pruning
-    for i, mi in enumerate(masks):
-        if dom[mi]:
+        if exempt[mi]:
             continue
         for j, mj in enumerate(masks):
-            if j != i and not dom[mj] and perf[mi | mj]:
+            if j != i and not exempt[mj] and union[mi | mj]:
                 break
         else:
             return False
@@ -75,51 +71,46 @@ def _valid_prc(masks, dom, perf):
 
 class _Search:
     def __init__(self, g: Graph, kind: str, budget: int):
-        self.g = g
         self.kind = kind
         self.budget = budget
         self.nodes = 0
         self.tables = Tables(g)
         self.adj = g.adj
         self.n = g.n
-        if kind == "gc":
-            self.dead = self.tables.gds
-        else:
-            self.dead = None  # dominating + size>=2, handled inline
         self.best = 0
         self.best_masks = None
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise _BudgetExhausted
 
     def _leaf_valid(self, masks):
         t = self.tables
         if self.kind == "gc":
             return _valid_gc(masks, t.gds)
-        if self.kind == "c":
-            return _valid_c(masks, t.dom)
-        return _valid_prc(masks, t.dom, t.perf)
+        return _valid_exempt(masks, t.dom, t.perf if self.kind == "prc" else t.dom)
 
-    # -- pass 1: optimal value, new-class-first order ------------------
+    def run(self, lex: bool):
+        """Restricted-growth DFS for a valid partition of more than
+        ``self.best`` classes.
 
-    def find_value(self):
+        Value order (``lex=False``) opens a new class before joining an open
+        one, which reaches many-class leaves early, and keeps every
+        improvement.  Lex order joins first, opens at most ``best + 1``
+        classes and stops at the first valid leaf, which is then the
+        lexicographically least partition of that size.
+        """
         n, adj = self.n, self.adj
-        kind = self.kind
-        t = self.tables
-        gds = t.gds
-        dom = t.dom
-        prc = kind == "prc"
+        prc = self.kind == "prc"
         classes: list[int] = []
 
         def dfs(i):
-            self._tick()
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise _BudgetExhausted
             k = len(classes)
             if i == n:
                 if k > self.best and self._leaf_valid(classes):
                     self.best = k
                     self.best_masks = list(classes)
+                    if lex:
+                        raise _Found
                 return
             if k + (n - i) <= self.best:
                 return
@@ -130,18 +121,23 @@ class _Search:
                 if len(conflicts) >= 2:
                     return
                 if conflicts:
-                    j = conflicts[0]
-                    self._try_join(dfs, classes, i, j, bit, a)
+                    self._try_join(dfs, classes, i, conflicts[0], bit, a)
                     return
-            # new class first: reaches many-class leaves early
-            classes.append(bit)
-            dfs(i + 1)
-            classes.pop()
+            if not lex:
+                classes.append(bit)
+                dfs(i + 1)
+                classes.pop()
             for j in range(k):
                 self._try_join(dfs, classes, i, j, bit, a)
+            if lex and k <= self.best:
+                classes.append(bit)
+                dfs(i + 1)
+                classes.pop()
 
-        dfs(0)
-        return self.best
+        try:
+            dfs(0)
+        except _Found:
+            pass
 
     def _try_join(self, dfs, classes, i, j, bit, a):
         m = classes[j]
@@ -165,53 +161,18 @@ class _Search:
         dfs(i + 1)
         classes[j] = m
 
-    # -- pass 2: lexicographically least witness of the optimal size ---
-
-    def find_witness(self, target: int):
-        n, adj = self.n, self.adj
-        prc = self.kind == "prc"
-        classes: list[int] = []
-        found: list[list[int]] = []
-
-        def dfs(i):
-            if found:
-                return
-            self._tick()
-            k = len(classes)
-            if i == n:
-                if k == target and self._leaf_valid(classes):
-                    found.append(list(classes))
-                return
-            if k + (n - i) < target:
-                return
-            bit = 1 << i
-            a = adj[i]
-            if prc:
-                conflicts = [j for j in range(k) if bin(a & classes[j]).count("1") >= 2]
-                if len(conflicts) >= 2:
-                    return
-                if conflicts:
-                    self._try_join(dfs, classes, i, conflicts[0], bit, a)
-                    return
-            for j in range(k):
-                self._try_join(dfs, classes, i, j, bit, a)
-                if found:
-                    return
-            if k < target:
-                classes.append(bit)
-                dfs(i + 1)
-                classes.pop()
-
-        dfs(0)
-        return found[0] if found else None
-
 
 def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveResult:
     """Exact maximum class count over valid partitions of the given kind.
 
-    Returns the lexicographically least maximum witness.  When the node
-    budget runs out the best value found so far is returned with
-    ``exact=False`` (a lower bound).
+    A first pass finds the maximum; a second pass, run only when the first
+    completed, recovers the lexicographically least witness of that size.
+    ``exact`` says the value is the maximum: it is false only when the node
+    budget ran out in the first pass, and the value is then the best found
+    so far (a lower bound).  ``lex_least`` says the witness is the
+    lexicographically least one: it is false whenever the budget ran out,
+    including in the second pass, where the exact value is kept with the
+    first pass's witness.
     """
     if kind not in ("c", "gc", "prc"):
         raise ValueError(f"unknown partition kind {kind!r}")
@@ -219,15 +180,20 @@ def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveRes
         raise TrivialGraphError("no gc-partition exists for the one-vertex graph")
     start = time.perf_counter()
     search = _Search(g, kind, DEFAULT_BUDGET if budget is None else budget)
-    exact = True
+    exact = lex_least = False
     try:
-        search.find_value()
-        if search.best > 0:
-            lex = search.find_witness(search.best)
-            if lex is not None:
-                search.best_masks = lex
+        search.run(lex=False)
+        exact = True
+        value = search.best
+        if value:
+            search.best = value - 1
+            try:
+                search.run(lex=True)
+            finally:
+                search.best = value
+        lex_least = True
     except _BudgetExhausted:
-        exact = False
+        pass
     witness = None
     if search.best_masks is not None:
         witness = Partition.from_masks(g, search.best_masks)
@@ -238,6 +204,7 @@ def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveRes
         nodes_explored=search.nodes,
         elapsed=time.perf_counter() - start,
         exact=exact,
+        lex_least=lex_least,
     )
 
 
@@ -293,9 +260,9 @@ def construct_gc_from_domatic(g: Graph) -> Partition:
     if surplus:
         partnered = False
         for m in out:
-            if _is_gds(g, m):
+            if is_gds(g, m):
                 continue
-            if _is_gds(g, m | surplus):
+            if is_gds(g, m | surplus):
                 partnered = True
                 break
         if partnered:

@@ -1,18 +1,65 @@
-"""Per-graph predicate tables for the search kernels.
+"""Subset predicates, defined once, and per-graph tables of them.
 
-For small universes every subset predicate (dominates G, dominates the
-complement, at-most-one / exactly-one outside neighbor) is precomputed as a
-flat array indexed by subset mask, so the branch-and-bound inner loop runs on
-plain list lookups.  Above the table cutoff the same predicates are served
-from lazy memo dictionaries.
+A vertex mask may dominate G, dominate G and its complement (a global
+dominating set), be seen at most once from every outside vertex, or exactly
+once (perfect domination).  Callers that test single sets use the mask
+predicates.  Callers that test many unions of one graph build a
+:class:`Tables`: for small universes each predicate is a flat array indexed
+by mask, so the branch-and-bound inner loop runs on plain list lookups;
+above the table cutoff the same predicates are memoized in dictionaries.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .bitset import bits_of
 from .graph import Graph
 
 TABLE_MAX_N = 16
+
+
+def cover(g: Graph, mask: int) -> tuple[int, int]:
+    """Unions of the closed neighborhoods of ``mask`` in G and in its
+    complement."""
+    adj = g.adj
+    c = mask
+    common = full = g.full_mask
+    for v in bits_of(mask):
+        a = adj[v]
+        c |= a
+        common &= a
+    # V minus N(v) is v's closed neighborhood in the complement; their union
+    # is V minus the common neighbors of ``mask``
+    return c, full & ~common
+
+
+def dominates(g: Graph, mask: int) -> bool:
+    return cover(g, mask)[0] == g.full_mask
+
+
+def is_gds(g: Graph, mask: int) -> bool:
+    """``mask`` dominates both G and its complement."""
+    c, cc = cover(g, mask)
+    return c & cc == g.full_mask
+
+
+def at_most_one(g: Graph, mask: int) -> bool:
+    """Every vertex outside ``mask`` has at most one neighbor inside it."""
+    adj = g.adj
+    for v in range(g.n):
+        if not mask >> v & 1 and bin(adj[v] & mask).count("1") > 1:
+            return False
+    return True
+
+
+def perfect(g: Graph, mask: int) -> bool:
+    """Every vertex outside ``mask`` has exactly one neighbor inside it."""
+    adj = g.adj
+    for v in range(g.n):
+        if not mask >> v & 1 and bin(adj[v] & mask).count("1") != 1:
+            return False
+    return True
 
 
 class _LazyTable:
@@ -37,84 +84,41 @@ class Tables:
 
     def __init__(self, g: Graph):
         self.g = g
-        self.n = g.n
-        self.full = g.full_mask
-        self.closed = [g.adj[v] | 1 << v for v in range(g.n)]
-        # closed neighborhood in the complement: V minus the open neighborhood
-        self.cclosed = [self.full & ~g.adj[v] for v in range(g.n)]
         self._amone = None
         self._perf = None
         if g.n <= TABLE_MAX_N:
             size = 1 << g.n
-            cover = [0] * size
-            ccover = [0] * size
-            closed = self.closed
-            cclosed = self.cclosed
+            full = g.full_mask
+            closed = [g.adj[v] | 1 << v for v in range(g.n)]
+            cclosed = [full & ~g.adj[v] for v in range(g.n)]
+            cov = [0] * size
+            ccov = [0] * size
             for m in range(1, size):
                 lsb = m & -m
                 v = lsb.bit_length() - 1
                 rest = m ^ lsb
-                cover[m] = cover[rest] | closed[v]
-                ccover[m] = ccover[rest] | cclosed[v]
-            full = self.full
-            self.dom = bytearray(1 if c == full else 0 for c in cover)
-            self.gds = bytearray(
-                1 if cover[m] == full and ccover[m] == full else 0 for m in range(size)
-            )
+                cov[m] = cov[rest] | closed[v]
+                ccov[m] = ccov[rest] | cclosed[v]
+            self.dom = bytearray(1 if c == full else 0 for c in cov)
+            self.gds = bytearray(1 if c & cc == full else 0 for c, cc in zip(cov, ccov))
         else:
-            self.dom = _LazyTable(self._dom_slow)
-            self.gds = _LazyTable(self._gds_slow)
+            self.dom = _LazyTable(partial(dominates, g))
+            self.gds = _LazyTable(partial(is_gds, g))
 
-    def _cover(self, mask: int) -> int:
-        out = 0
-        for v in bits_of(mask):
-            out |= self.closed[v]
-        return out
-
-    def _ccover(self, mask: int) -> int:
-        out = 0
-        for v in bits_of(mask):
-            out |= self.cclosed[v]
-        return out
-
-    def _dom_slow(self, mask: int) -> bool:
-        return self._cover(mask) == self.full
-
-    def _gds_slow(self, mask: int) -> bool:
-        return self._cover(mask) == self.full and self._ccover(mask) == self.full
-
-    def _amone_slow(self, mask: int) -> bool:
-        adj = self.g.adj
-        for v in range(self.n):
-            if not mask >> v & 1 and bin(adj[v] & mask).count("1") > 1:
-                return False
-        return True
-
-    def _perf_slow(self, mask: int) -> bool:
-        adj = self.g.adj
-        for v in range(self.n):
-            if not mask >> v & 1 and bin(adj[v] & mask).count("1") != 1:
-                return False
-        return True
+    def _table(self, pred):
+        g = self.g
+        if g.n <= TABLE_MAX_N:
+            return bytearray(1 if pred(g, m) else 0 for m in range(1 << g.n))
+        return _LazyTable(partial(pred, g))
 
     @property
     def amone(self):
         if self._amone is None:
-            if self.n <= TABLE_MAX_N:
-                self._amone = bytearray(
-                    1 if self._amone_slow(m) else 0 for m in range(1 << self.n)
-                )
-            else:
-                self._amone = _LazyTable(self._amone_slow)
+            self._amone = self._table(at_most_one)
         return self._amone
 
     @property
     def perf(self):
         if self._perf is None:
-            if self.n <= TABLE_MAX_N:
-                self._perf = bytearray(
-                    1 if self._perf_slow(m) else 0 for m in range(1 << self.n)
-                )
-            else:
-                self._perf = _LazyTable(self._perf_slow)
+            self._perf = self._table(perfect)
         return self._perf

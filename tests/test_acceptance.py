@@ -13,7 +13,7 @@ import pytest
 
 from gcoalition import checks
 from gcoalition.cli import run
-from gcoalition.coalition import count_gc_partners, gc_partner_bound
+from gcoalition.coalition import count_gc_partners, gc_partner_bound, verify_partition
 from gcoalition.families import generate, proof_partition, spec
 
 from .reference import ReferenceSolver
@@ -181,8 +181,13 @@ def test_criterion_12_oracle_equivalence(solve, corpus7):
         for kind in ("gc", "c", "prc"):
             if g.n == 1 and kind == "gc":
                 continue  # the solver refuses the trivial gc instance
-            if ref.max_value(kind) != solve(g, kind).value:
+            res = solve(g, kind)
+            if ref.max_value(kind) != res.value:
                 bad.append((g, kind))
+            elif res.value and not (
+                len(res.witness) == res.value and verify_partition(g, res.witness, kind).valid
+            ):
+                bad.append((g, kind, "witness"))
     elapsed = time.perf_counter() - t0
     report(12, "oracle-equivalence", not bad and elapsed < 1800.0 and len(corpus7) == 996,
            f"{len(corpus7)} graphs in {elapsed:.0f}s; bad={bad[:3]}")

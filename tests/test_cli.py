@@ -42,6 +42,18 @@ class TestCompute:
         assert code == 3
         assert payload["result"]["exact"] is False
 
+    def test_budget_exhausted_in_witness_pass_is_exact(self):
+        # the value pass completes after 11,791 nodes; the full solve takes
+        # 15,259, so only the lex-least witness pass runs out of budget
+        code, payload = _validated(
+            ["compute", "--kind", "gc", "--graph", "path:9", "--budget", "12000"])
+        res = payload["result"]
+        assert code == 0
+        assert res["value"] == 5 and res["exact"] is True and res["lex_least"] is False
+        code, _ = _validated(["verify", "--kind", "gc", "--graph", "path:9",
+                              "--partition", json.dumps(res["witness"])])
+        assert code == 0
+
 
 class TestVerify:
     def test_valid_exit0(self):

@@ -65,7 +65,7 @@ class TestWitnesses:
             for kind in ("gc", "c", "prc"):
                 res = max_partition(g, kind)
                 best, optima = ReferenceSolver(g).all_optima(kind)
-                assert res.value == best
+                assert res.value == best and res.exact and res.lex_least
                 if best:
                     got = self._rgs(res.witness.to_lists(), g.n)
                     assert got == min(self._rgs(o, g.n) for o in optima)
@@ -81,7 +81,7 @@ class TestWitnesses:
 class TestBudget:
     def test_budget_exhaustion_flags_inexact(self):
         res = max_partition(path(8), "gc", budget=50)
-        assert not res.exact
+        assert not res.exact and not res.lex_least
         assert res.nodes_explored >= 50
 
     def test_trivial_graph(self):
