@@ -81,25 +81,27 @@ class PartitionVerdict:
     violations: tuple
 
 
-def _gc_pair(g: Graph, a: int, b: int) -> bool:
-    return not is_gds(g, a) and not is_gds(g, b) and is_gds(g, a | b)
+def _blocked(g: Graph, kind: str, m: int):
+    """Why class ``m`` can be in no coalition pair of ``kind``, or None."""
+    if kind == "gc":
+        return Reason.IS_GLOBAL_DOMINATING if is_gds(g, m) else None
+    if dominates(g, m):
+        return Reason.IS_DOMINATING_SINGLETON_EXEMPTION
+    if kind == "prc" and not at_most_one(g, m):
+        return Reason.PERFECT_CONDITION_FAILED
+    return None
 
 
-def _c_pair(g: Graph, a: int, b: int) -> bool:
-    return not dominates(g, a) and not dominates(g, b) and dominates(g, a | b)
+# what the union of a coalition pair must be
+_UNION = {"c": dominates, "gc": is_gds, "prc": perfect}
 
 
-def _prc_pair(g: Graph, a: int, b: int) -> bool:
+def _pair(g: Graph, kind: str, a: int, b: int) -> bool:
     return (
-        not dominates(g, a)
-        and not dominates(g, b)
-        and at_most_one(g, a)
-        and at_most_one(g, b)
-        and perfect(g, a | b)
+        _blocked(g, kind, a) is None
+        and _blocked(g, kind, b) is None
+        and _UNION[kind](g, a | b)
     )
-
-
-_PAIR = {"c": _c_pair, "gc": _gc_pair, "prc": _prc_pair}
 
 
 def _pair_masks(a: VertexSet, b: VertexSet) -> tuple[int, int]:
@@ -112,18 +114,35 @@ def _pair_masks(a: VertexSet, b: VertexSet) -> tuple[int, int]:
 
 def is_gc_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Neither side is a global dominating set but their union is."""
-    return _gc_pair(g, *_pair_masks(a, b))
+    return _pair(g, "gc", *_pair_masks(a, b))
 
 
 def is_c_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Neither side dominates but their union does."""
-    return _c_pair(g, *_pair_masks(a, b))
+    return _pair(g, "c", *_pair_masks(a, b))
 
 
 def is_prc_pair(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """Perfect coalition pair: non-dominating sides, each seen at most once
     from outside, whose union is a perfect dominating set."""
-    return _prc_pair(g, *_pair_masks(a, b))
+    return _pair(g, "prc", *_pair_masks(a, b))
+
+
+def _partners(g: Graph, kind: str, masks: list) -> tuple[list, list]:
+    """Per-class blocking reasons and partner lists: each class's own
+    predicate is tested once, and then only the unions of unblocked pairs."""
+    blocked = [_blocked(g, kind, m) for m in masks]
+    union = _UNION[kind]
+    k = len(masks)
+    partners = [[] for _ in range(k)]
+    for i in range(k):
+        if blocked[i] is not None:
+            continue
+        for j in range(i + 1, k):
+            if blocked[j] is None and union(g, masks[i] | masks[j]):
+                partners[i].append(j)
+                partners[j].append(i)
+    return blocked, partners
 
 
 def verify_partition(g: Graph, p: Partition, kind: str) -> PartitionVerdict:
@@ -132,31 +151,17 @@ def verify_partition(g: Graph, p: Partition, kind: str) -> PartitionVerdict:
         raise ValueError(f"unknown partition kind {kind!r}")
     if p.graph_n != g.n:
         raise MalformedPartitionError("partition universe does not match graph")
-    pair = _PAIR[kind]
     masks = [vs.bits for vs in p.classes]
-    k = len(masks)
-    partners = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pair(g, masks[i], masks[j]):
-                partners[i].append(j)
-                partners[j].append(i)
+    blocked, partners = _partners(g, kind, masks)
     violations = []
     for i, m in enumerate(masks):
-        if kind == "gc":
-            if is_gds(g, m):
-                violations.append(Violation(i, Reason.IS_GLOBAL_DOMINATING))
-            elif not partners[i]:
+        reason = blocked[i]
+        if reason is None:
+            if not partners[i]:
                 violations.append(Violation(i, Reason.NO_PARTNER))
-        else:
-            if dominates(g, m):
-                if m & (m - 1):  # two or more vertices
-                    violations.append(Violation(i, Reason.IS_DOMINATING_SINGLETON_EXEMPTION))
-                # singleton dominating class: exempt
-            elif kind == "prc" and not at_most_one(g, m):
-                violations.append(Violation(i, Reason.PERFECT_CONDITION_FAILED))
-            elif not partners[i]:
-                violations.append(Violation(i, Reason.NO_PARTNER))
+        elif reason is not Reason.IS_DOMINATING_SINGLETON_EXEMPTION or m & (m - 1):
+            # a singleton dominating class is exempt
+            violations.append(Violation(i, reason))
     return PartitionVerdict(
         valid=not violations,
         kind=kind,
@@ -170,7 +175,7 @@ def count_gc_partners(g: Graph, p: Partition, i: int) -> int:
     if not 0 <= i < len(p.classes):
         raise IndexError(f"class index {i} out of range")
     masks = [vs.bits for vs in p.classes]
-    return sum(1 for j, m in enumerate(masks) if j != i and _gc_pair(g, masks[i], m))
+    return sum(1 for j, m in enumerate(masks) if j != i and _pair(g, "gc", masks[i], m))
 
 
 def gc_partner_bound(g: Graph, a: VertexSet) -> int:
@@ -192,12 +197,6 @@ def build_gcg(g: Graph, p: Partition) -> CoalitionGraph:
     """Graph on partition classes; edges are the global coalition pairs."""
     if p.graph_n != g.n:
         raise MalformedPartitionError("partition universe does not match graph")
-    masks = [vs.bits for vs in p.classes]
-    k = len(masks)
-    adj = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _gc_pair(g, masks[i], masks[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return CoalitionGraph(base=Graph(k, adj), class_map=tuple(p.classes))
+    _, partners = _partners(g, "gc", [vs.bits for vs in p.classes])
+    adj = [sum(1 << j for j in px) for px in partners]
+    return CoalitionGraph(base=Graph(len(adj), adj), class_map=tuple(p.classes))

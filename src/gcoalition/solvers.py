@@ -6,6 +6,20 @@ pruning), a second pass in lexicographic order recovers the lexicographically
 least witness of that size.  Classes that become (global) dominating sets are
 pruned on the spot because both properties are monotone under vertex
 addition.
+
+Both passes also apply a partner rule at every interior node.  Let ``R`` be
+the vertices not yet assigned.  Every class must end with a partner, and a
+final class ``M_i`` lies inside ``m_i | R``, where ``m_i`` is the class now;
+its partner is either a grown open class ``M_j`` inside ``m_j | R`` or a new
+class inside ``R``.  Global domination and domination are monotone under
+supersets, so a gc node is pruned when some class has neither
+``gds[m_i | R]`` nor, for any ``j != i``, ``gds[m_i | m_j | R]``.  For c and
+prc the rule reads ``dom`` and skips a dominating class: it is a singleton,
+exempt as long as nothing joins it, and no other class can take it as a
+partner.  The rule holds for prc because a perfect dominating union is
+dominating.  A pruned node has no valid leaf below it, so values and the
+lex pass's first valid leaf, hence witnesses, are those of the plain search;
+only the node count falls.
 """
 
 from __future__ import annotations
@@ -43,26 +57,22 @@ class _Found(Exception):
     pass
 
 
-def _valid_gc(masks, gds):
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if j != i and gds[mi | mj]:
-                break
-        else:
-            return False
-    return True
-
-
-def _valid_exempt(masks, exempt, union):
-    """Leaf rule of the exempting kinds: every class that is not an exempt
-    singleton has a non-exempt partner with ``union[mi | mj]``; c passes
-    ``(dom, dom)``, prc ``(dom, perf)``.  Exempt classes of size >= 2 were
-    pruned during the search, and for prc so were at-most-one violations."""
+def _partnered(masks, rest, exempt, union):
+    """Partner rule over the unassigned vertices ``rest``: every class that
+    is not exempt still has a non-exempt partner with ``union`` over the two
+    classes and ``rest``, or ``union[mi | rest]`` (a partner opened inside
+    ``rest``).  With ``rest = 0`` it is the leaf rule, since no class that
+    reaches a leaf has ``union[mi]``.  gc passes ``(gds, gds)``, c
+    ``(dom, dom)``, prc ``(dom, dom)`` inside the search and ``(dom, perf)``
+    at the leaves."""
     for i, mi in enumerate(masks):
         if exempt[mi]:
             continue
+        mr = mi | rest
+        if union[mr]:
+            continue
         for j, mj in enumerate(masks):
-            if j != i and not exempt[mj] and union[mi | mj]:
+            if j != i and not exempt[mj] and union[mr | mj]:
                 break
         else:
             return False
@@ -80,12 +90,6 @@ class _Search:
         self.best = 0
         self.best_masks = None
 
-    def _leaf_valid(self, masks):
-        t = self.tables
-        if self.kind == "gc":
-            return _valid_gc(masks, t.gds)
-        return _valid_exempt(masks, t.dom, t.perf if self.kind == "prc" else t.dom)
-
     def run(self, lex: bool):
         """Restricted-growth DFS for a valid partition of more than
         ``self.best`` classes.
@@ -98,6 +102,10 @@ class _Search:
         """
         n, adj = self.n, self.adj
         prc = self.kind == "prc"
+        t = self.tables
+        exempt = t.gds if self.kind == "gc" else t.dom
+        leaf_union = t.perf if prc else exempt
+        rests = [t.g.full_mask ^ ((1 << i) - 1) for i in range(n)]
         classes: list[int] = []
 
         def dfs(i):
@@ -106,13 +114,13 @@ class _Search:
                 raise _BudgetExhausted
             k = len(classes)
             if i == n:
-                if k > self.best and self._leaf_valid(classes):
+                if k > self.best and _partnered(classes, 0, exempt, leaf_union):
                     self.best = k
                     self.best_masks = list(classes)
                     if lex:
                         raise _Found
                 return
-            if k + (n - i) <= self.best:
+            if k + (n - i) <= self.best or not _partnered(classes, rests[i], exempt, exempt):
                 return
             bit = 1 << i
             a = adj[i]

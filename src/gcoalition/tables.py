@@ -84,7 +84,6 @@ class Tables:
 
     def __init__(self, g: Graph):
         self.g = g
-        self._amone = None
         self._perf = None
         if g.n <= TABLE_MAX_N:
             size = 1 << g.n
@@ -105,20 +104,12 @@ class Tables:
             self.dom = _LazyTable(partial(dominates, g))
             self.gds = _LazyTable(partial(is_gds, g))
 
-    def _table(self, pred):
-        g = self.g
-        if g.n <= TABLE_MAX_N:
-            return bytearray(1 if pred(g, m) else 0 for m in range(1 << g.n))
-        return _LazyTable(partial(pred, g))
-
-    @property
-    def amone(self):
-        if self._amone is None:
-            self._amone = self._table(at_most_one)
-        return self._amone
-
     @property
     def perf(self):
         if self._perf is None:
-            self._perf = self._table(perfect)
+            g = self.g
+            if g.n <= TABLE_MAX_N:
+                self._perf = bytearray(1 if perfect(g, m) else 0 for m in range(1 << g.n))
+            else:
+                self._perf = _LazyTable(partial(perfect, g))
         return self._perf

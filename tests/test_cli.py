@@ -43,10 +43,10 @@ class TestCompute:
         assert payload["result"]["exact"] is False
 
     def test_budget_exhausted_in_witness_pass_is_exact(self):
-        # the value pass completes after 11,791 nodes; the full solve takes
-        # 15,259, so only the lex-least witness pass runs out of budget
+        # the value pass completes after 3,739 nodes; the full solve takes
+        # 4,927, so only the lex-least witness pass runs out of budget
         code, payload = _validated(
-            ["compute", "--kind", "gc", "--graph", "path:9", "--budget", "12000"])
+            ["compute", "--kind", "gc", "--graph", "path:9", "--budget", "4000"])
         res = payload["result"]
         assert code == 0
         assert res["value"] == 5 and res["exact"] is True and res["lex_least"] is False

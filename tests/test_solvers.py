@@ -1,6 +1,8 @@
 """Branch-and-bound solver and the constructive procedures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcoalition import (
     Partition,
@@ -14,7 +16,8 @@ from gcoalition import (
 )
 from gcoalition.families import generate, spec
 
-from .reference import ReferenceSolver
+from .reference import ReferenceSolver, set_partitions
+from .test_tables import graphs
 
 
 def path(n):
@@ -69,6 +72,24 @@ class TestWitnesses:
                 if best:
                     got = self._rgs(res.witness.to_lists(), g.n)
                     assert got == min(self._rgs(o, g.n) for o in optima)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=8), st.sampled_from(["gc", "c", "prc"]))
+    def test_matches_brute_force(self, g, kind):
+        # the partner rule prunes interior nodes, so a cut valid leaf would
+        # lower the value or move the witness past the first valid partition
+        # of that size in set_partitions (restricted-growth) order
+        res = max_partition(g, kind)
+        ref = ReferenceSolver(g)
+        assert res.value == ref.max_value(kind) and res.exact and res.lex_least
+        first = next(
+            (c for c in set_partitions(g.n) if len(c) == res.value and ref.valid(c, kind)),
+            None,
+        )
+        if res.value:
+            assert res.witness.to_lists() == [sorted(c) for c in first]
+        else:
+            assert res.witness is None
 
     def test_all_exempt_singletons(self):
         # both vertices of K2 dominate, so the singleton partition is valid

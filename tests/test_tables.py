@@ -10,7 +10,7 @@ from gcoalition.tables import TABLE_MAX_N, Tables, at_most_one, dominates, is_gd
 
 from .reference import ReferenceSolver
 
-PREDICATES = {"dom": dominates, "gds": is_gds, "amone": at_most_one, "perf": perfect}
+PREDICATES = {"dom": dominates, "gds": is_gds, "perf": perfect}
 
 
 @st.composite
