@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import networkx as nx
-
 from .bitset import bits_of
 from .coalition import Partition
 from .errors import (
@@ -227,10 +225,6 @@ def _unicyclic_variant(cycle_len: int, tag: str, p: tuple) -> Graph:
         n, all_edges = _with_leaves(5, edges + [(0, 3), (3, 4)], [(0, n_x)])
         return from_edge_list(n, all_edges)
     raise InvalidParamsError(f"unknown unicyclic variant {tag!r}")  # pragma: no cover
-
-
-def order_of(g_spec: FamilySpec) -> int:
-    return generate(g_spec).n
 
 
 def closed_form_gc(g_spec: FamilySpec):
@@ -496,37 +490,20 @@ def is_T1_or_T2(g: Graph):
 # -- enumerators -------------------------------------------------------
 
 
-def enumerate_trees(max_n: int) -> Iterator[Graph]:
-    """All free trees up to isomorphism, orders 1..max_n (via networkx)."""
-    if max_n >= 1:
-        yield from_edge_list(1, [])
-    if max_n >= 2:
-        yield from_edge_list(2, [(0, 1)])
-    for n in range(3, max_n + 1):
-        for t in nx.nonisomorphic_trees(n):
-            nodes = sorted(t.nodes())
-            index = {v: i for i, v in enumerate(nodes)}
-            yield from_edge_list(n, [(index[u], index[v]) for u, v in t.edges()])
-
-
 def _add_pendant(g: Graph, v: int) -> Graph:
     adj = list(g.adj) + [1 << v]
     adj[v] |= 1 << g.n
     return Graph(g.n + 1, adj)
 
 
-def enumerate_unicyclic(
-    cycle_len: int, max_n: int, radius_cap: Optional[int] = 2
-) -> Iterator[Graph]:
-    """Connected unicyclic graphs with the given cycle length, up to iso.
+def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[Graph]:
+    """``base`` and every graph grown from it by pendant vertices, orders up
+    to ``max_n``, up to isomorphism.
 
     Pendant vertices are attached level by level; the radius filter prunes
     during generation (radius never decreases under pendant addition).
     """
-    if cycle_len < 3 or cycle_len > max_n:
-        return
-    base = generate(spec("cycle", cycle_len))
-    if radius_cap is not None and metrics(base).radius > radius_cap:
+    if base.n > max_n or (radius_cap is not None and metrics(base).radius > radius_cap):
         return
     level = [base]
     yield base
@@ -540,6 +517,21 @@ def enumerate_unicyclic(
                 dedup.add(child)
         level = dedup.graphs
         yield from level
+
+
+def enumerate_trees(max_n: int) -> Iterator[Graph]:
+    """All free trees up to isomorphism, orders 1..max_n, by pendant growth
+    from ``K1``."""
+    yield from _pendant_growth(from_edge_list(1, []), max_n, None)
+
+
+def enumerate_unicyclic(
+    cycle_len: int, max_n: int, radius_cap: Optional[int] = 2
+) -> Iterator[Graph]:
+    """Connected unicyclic graphs with the given cycle length, up to iso,
+    by pendant growth from the cycle."""
+    if cycle_len >= 3:
+        yield from _pendant_growth(generate(spec("cycle", cycle_len)), max_n, radius_cap)
 
 
 _CONNECTED_CACHE: dict[int, list] = {}
@@ -561,11 +553,6 @@ def connected_graphs(n: int) -> list:
         result = dedup.graphs
     _CONNECTED_CACHE[n] = result
     return result
-
-
-def enumerate_connected_graphs(max_n: int) -> Iterator[Graph]:
-    for n in range(1, max_n + 1):
-        yield from connected_graphs(n)
 
 
 def girth_at_least_6_graphs(max_n: int) -> list:

@@ -1,14 +1,30 @@
-"""Independent reference solver used as the oracle in tests.
+"""Independent reference solver and isomorphism test used as oracles in tests.
 
 Deliberately naive and structurally different from the package solver: plain
 Python sets instead of bitmasks, an explicit complement neighborhood, and a
 full Bell-number sweep over all set partitions via restricted-growth
-recursion, with no pruning beyond predicate memoization.
+recursion, with no pruning beyond predicate memoization.  Isomorphism is
+decided by trying every vertex permutation.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
+
+
+def is_isomorphic(g1, g2) -> bool:
+    """Brute force: some permutation of the vertices maps g1's edges onto g2's."""
+    if g1.n != g2.n:
+        return False
+    edges1 = [frozenset(e) for e in g1.edges()]
+    edges2 = {frozenset(e) for e in g2.edges()}
+    if len(edges1) != len(edges2):
+        return False
+    return any(
+        all(frozenset(perm[u] for u in e) in edges2 for e in edges1)
+        for perm in itertools.permutations(range(g1.n))
+    )
 
 
 def set_partitions(n):

@@ -10,7 +10,6 @@ from gcoalition import (
     T2Membership,
     are_isomorphic,
     closed_form_gc,
-    enumerate_trees,
     enumerate_unicyclic,
     generate,
     girth_at_least_6_graphs,
@@ -187,12 +186,22 @@ class TestEnumerators:
                 assert not are_isomorphic(g, other)
             seen.append(g)
 
-    def test_tree_counts(self):
+    def test_tree_counts(self, trees11):
         counts = {}
-        for g in enumerate_trees(8):
+        for g in trees11:
             assert is_tree(g)
             counts[g.n] = counts.get(g.n, 0) + 1
-        assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+        # OEIS A000055, free trees on n nodes
+        assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
+                          9: 47, 10: 106, 11: 235}
+
+    def test_unicyclic_counts(self):
+        counts = {}
+        for cl in range(3, 11):
+            for g in enumerate_unicyclic(cl, 10, radius_cap=None):
+                counts[g.n] = counts.get(g.n, 0) + 1
+        # OEIS A001429, connected unicyclic graphs on n nodes
+        assert counts == {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
 
     def test_connected_counts(self):
         assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]

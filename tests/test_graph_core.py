@@ -1,5 +1,9 @@
 """Graph kernel: construction, metrics, serialization, isomorphism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +30,8 @@ from gcoalition import (
 )
 from gcoalition.graph import Diam4, DoubleStarClass, PathFour, RadiusAtLeast3, Star
 from gcoalition.iso import IsoDedup
+
+from .reference import is_isomorphic
 
 
 def path(n):
@@ -225,6 +231,23 @@ class TestIsomorphism:
                                    (0, 3), (1, 4), (2, 5)])
         assert k33.edge_count() == prism.edge_count() == 9
         assert not are_isomorphic(k33, prism)
+        assert canonical_hash(k33) != canonical_hash(prism)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7), st.data())
+    def test_certificate_matches_brute_force(self, n, data):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        a = from_edge_list(n, sorted(edges))
+        perm = data.draw(st.permutations(range(n)))
+        relabeled = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+        assert canonical_hash(relabeled) == canonical_hash(a)
+        # b is a relabelled copy of a with up to two pairs toggled: isomorphic
+        # to a when none are, often a near miss when some are
+        toggled = set(data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+        perm = data.draw(st.permutations(range(n)))
+        b = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges ^ toggled])
+        assert (canonical_hash(a) == canonical_hash(b)) == is_isomorphic(a, b)
 
     def test_dedup_counts(self):
         dedup = IsoDedup()
@@ -232,6 +255,14 @@ class TestIsomorphism:
         assert not dedup.add(from_edge_list(4, [(3, 1), (1, 0), (0, 2)]))
         assert dedup.add(cycle(4))
         assert len(dedup.graphs) == 2
+
+
+def test_import_does_not_load_networkx():
+    import gcoalition
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gcoalition.__file__)))
+    code = "import sys, gcoalition; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestVertexSet:
