@@ -1,16 +1,21 @@
 """Theorem sweep driver: generate instances, solve exactly, compare.
 
-Every check emits one row per instance with status ``pass``, ``fail``,
-``finding`` (an inferred generator disagreeing with its closed form, flagged
-for human review rather than failing), or ``inconclusive`` (solver budget
-exhausted).  Row order is sorted by instance key so reports are
-deterministic.
+Every check emits one row per instance with one of four statuses: ``pass``;
+``fail`` (the claim is false there; the detail is ``graph6=...``);
+``finding`` (an INFERRED unicyclic shape disagrees with its closed form,
+flagged for human review rather than failing); or ``inconclusive`` (a solve
+ran out of node budget: the row keeps its ``expected``, its ``actual`` is
+``>=v`` for a single solve and ``?`` for two, and its detail is ``budget
+exhausted``).  Rows are sorted by instance key so reports are deterministic.
+``gcoalition check`` exits 0 on pass or finding, 2 on fail and 3 on
+inconclusive (the worst row decides).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -18,7 +23,7 @@ from typing import Callable, Optional
 from .coalition import count_gc_partners, gc_partner_bound, verify_partition
 from .domination import global_domatic
 from .families import (
-    LowerBound,
+    UNICYCLIC_SHAPES,
     closed_form_gc,
     connected_graphs,
     enumerate_trees,
@@ -29,7 +34,7 @@ from .families import (
     spec,
 )
 from .graph import classify_radius2_tree, metrics
-from .graph import Diam4, DoubleStarClass, PathFour, Star
+from .graph import Diam4, DoubleStarClass, Star
 from .graphio import to_graph6
 from .solvers import (
     construct_center_partition,
@@ -48,33 +53,38 @@ class CheckRow:
     detail: str = ""
 
 
-def _row(check, instance, expected, actual, ok, detail="", soft=False):
-    if ok:
-        status = "pass"
-    else:
-        status = "finding" if soft else "fail"
-    return CheckRow(check, instance, str(expected), str(actual), status, detail)
+def _sweep(check: str, cases, budget, soft=False) -> list[CheckRow]:
+    """One row per case ``(instance, graph, expected, solves, judge)``.
+
+    ``solves`` lists the ``(graph, kind)`` pairs to solve exactly and
+    ``judge(*values)`` returns ``(actual, ok)``.  A row whose solves do not
+    all finish inside ``budget`` is inconclusive, with the same ``expected``
+    and ``actual`` ``>=v`` for a single solve (``?`` otherwise).  A row that
+    is not ok is a fail, or a finding when ``soft``.
+    """
+    rows = []
+    for instance, g, expected, solves, judge in cases:
+        results = [max_partition(h, kind, budget) for h, kind in solves]
+        if not all(r.exact for r in results):
+            actual = f">={results[0].value}" if len(results) == 1 else "?"
+            rows.append(CheckRow(check, instance, expected, actual,
+                                 "inconclusive", "budget exhausted"))
+            continue
+        actual, ok = judge(*(r.value for r in results))
+        status = "pass" if ok else "finding" if soft else "fail"
+        rows.append(CheckRow(check, instance, expected, str(actual), status,
+                             "" if ok else f"graph6={to_graph6(g)}"))
+    return rows
+
+
+def _value_case(instance: str, g, kind: str, expected: int):
+    """A case asserting that the exact ``kind`` value of ``g`` is ``expected``."""
+    return instance, g, str(expected), [(g, kind)], lambda v: (v, v == expected)
 
 
 def _formula_rows(check: str, specs, budget, soft=False) -> list[CheckRow]:
-    rows = []
-    for g_spec in specs:
-        g = generate(g_spec)
-        expected = closed_form_gc(g_spec)
-        res = max_partition(g, "gc", budget)
-        if not res.exact:
-            rows.append(CheckRow(check, str(g_spec), str(expected), f">={res.value}",
-                                 "inconclusive", "budget exhausted"))
-            continue
-        if isinstance(expected, LowerBound):
-            ok = res.value >= expected.value
-            exp_str = f">={expected.value}"
-        else:
-            ok = res.value == expected
-            exp_str = str(expected)
-        detail = "" if ok else f"graph6={to_graph6(g)}"
-        rows.append(_row(check, str(g_spec), exp_str, res.value, ok, detail, soft))
-    return rows
+    cases = (_value_case(str(s), generate(s), "gc", closed_form_gc(s)) for s in specs)
+    return _sweep(check, cases, budget, soft)
 
 
 def check_gc_paths(max_n=12, budget=None):
@@ -108,31 +118,30 @@ def check_gc_fans(max_n=10, budget=None):
     return _formula_rows("gc_fans", [spec("fan", n) for n in range(2, min(max_n - 1, 9) + 1)], budget)
 
 
+def _rad2_tree_gc(g) -> int:
+    """Closed-form GC of a tree of radius at most 2, by its shape."""
+    shape = classify_radius2_tree(g)
+    if isinstance(shape, Star):
+        return g.n
+    if isinstance(shape, Diam4):
+        return shape.ell + 2
+    if isinstance(shape, DoubleStarClass) and (shape.p, shape.q) != (1, 1):
+        return shape.p + 2
+    return 4  # the four-vertex path
+
+
 def check_gc_rad2_trees(max_n=11, budget=None):
     """Radius-2 tree values against the classified closed forms."""
-    rows = []
-    for g in enumerate_trees(min(max_n, 11)):
-        if g.n < 2 or metrics(g).radius > 2:
-            continue
-        shape = classify_radius2_tree(g)
-        if isinstance(shape, Star):
-            expected = g.n
-        elif isinstance(shape, PathFour):
-            expected = 4
-        elif isinstance(shape, DoubleStarClass):
-            expected = 4 if shape.p == shape.q == 1 else shape.p + 2
-        elif isinstance(shape, Diam4):
-            expected = shape.ell + 2
-        else:  # pragma: no cover
-            continue
-        res = max_partition(g, "gc", budget)
-        key = f"tree:{to_graph6(g)}"
-        if not res.exact:
-            rows.append(CheckRow("gc_rad2_trees", key, str(expected), f">={res.value}",
-                                 "inconclusive", "budget exhausted"))
-            continue
-        rows.append(_row("gc_rad2_trees", key, expected, res.value, res.value == expected))
-    return rows
+    cases = (
+        _value_case(f"tree:{to_graph6(g)}", g, "gc", _rad2_tree_gc(g))
+        for g in enumerate_trees(min(max_n, 11))
+        if g.n >= 2 and metrics(g).radius <= 2
+    )
+    return _sweep("gc_rad2_trees", cases, budget)
+
+
+def _small_connected(max_n: int):
+    return (g for n in range(2, min(max_n, 8) + 1) for g in connected_graphs(n))
 
 
 def check_partner_bound(max_n=7, budget=None):
@@ -149,50 +158,43 @@ def check_partner_bound(max_n=7, budget=None):
                 cnt = count_gc_partners(g, res.witness, i)
                 if cnt > bound:
                     bad.append((i, cnt, bound))
-            rows.append(_row("partner_bound", f"g6:{to_graph6(g)}",
-                             "partners<=bound", "ok" if not bad else str(bad), not bad))
+            rows.append(CheckRow("partner_bound", f"g6:{to_graph6(g)}", "partners<=bound",
+                                 str(bad) if bad else "ok", "fail" if bad else "pass"))
     # sharpness on the k=4 sharpness graph: the middle class meets the bound
     if max_n >= 9:
         g_spec = spec("gk", 4)
         g = generate(g_spec)
         p = proof_partition(g_spec)
-        vblock = p.classes[1]
-        bound = gc_partner_bound(g, vblock)
+        bound = gc_partner_bound(g, p.classes[1])
         cnt = count_gc_partners(g, p, 1)
-        rows.append(_row("partner_bound", str(g_spec), f"partners=={bound}", cnt, cnt == bound))
+        rows.append(CheckRow("partner_bound", str(g_spec), f"partners=={bound}", str(cnt),
+                             "pass" if cnt == bound else "fail"))
     return rows
 
 
 def check_gc_ge_2dg(max_n=7, budget=None):
     """Constructed partition from a maximum global domatic partition."""
     rows = []
-    for n in range(2, min(max_n, 8) + 1):
-        for g in connected_graphs(n):
-            dg = global_domatic(g).k
-            part = construct_gc_from_domatic(g)
-            verdict = verify_partition(g, part, "gc")
-            ok = verdict.valid and len(part) >= 2 * dg
-            detail = "" if ok else f"graph6={to_graph6(g)} classes={part.to_lists()}"
-            rows.append(_row("gc_ge_2dg", f"g6:{to_graph6(g)}",
-                             f"valid,k>={2 * dg}", f"valid={verdict.valid},k={len(part)}",
-                             ok, detail))
+    for g in _small_connected(max_n):
+        dg = global_domatic(g).k
+        part = construct_gc_from_domatic(g)
+        verdict = verify_partition(g, part, "gc")
+        ok = verdict.valid and len(part) >= 2 * dg
+        rows.append(CheckRow("gc_ge_2dg", f"g6:{to_graph6(g)}", f"valid,k>={2 * dg}",
+                             f"valid={verdict.valid},k={len(part)}", "pass" if ok else "fail",
+                             "" if ok else f"graph6={to_graph6(g)} classes={part.to_lists()}"))
     return rows
 
 
 def _rad3_corpus(max_n: int):
     """Enumerable connected graphs of radius >= 3 (full corpus through n=8,
     then trees / unicyclic / sparse girth->=6 graphs up to max_n)."""
-    seen = set()
-    out = []
+    out = {}  # graph6 -> graph, in first-seen order
 
     def push(g):
         m = metrics(g)
-        if not m.connected or m.radius < 3:
-            return
-        key = to_graph6(g)
-        if key not in seen:
-            seen.add(key)
-            out.append((key, g))
+        if m.connected and m.radius >= 3:
+            out.setdefault(to_graph6(g), g)
 
     for n in range(1, min(max_n, 8) + 1):
         for g in connected_graphs(n):
@@ -205,112 +207,53 @@ def _rad3_corpus(max_n: int):
                 push(g)
         for g in girth_at_least_6_graphs(max_n):
             push(g)
-    return out
+    return list(out.values())
+
+
+def _gc_eq_c(check: str, graphs, budget):
+    cases = (
+        (f"g6:{to_graph6(g)}", g, "GC=C", [(g, "gc"), (g, "c")],
+         lambda gc, c: (f"GC={gc},C={c}", gc == c))
+        for g in graphs
+    )
+    return _sweep(check, cases, budget)
 
 
 def check_gc_eq_c_rad3(max_n=9, budget=None):
-    rows = []
-    for key, g in _rad3_corpus(max_n):
-        gc = max_partition(g, "gc", budget)
-        c = max_partition(g, "c", budget)
-        if not (gc.exact and c.exact):
-            rows.append(CheckRow("gc_eq_c_rad3", f"g6:{key}", "GC=C", "?",
-                                 "inconclusive", "budget exhausted"))
-            continue
-        rows.append(_row("gc_eq_c_rad3", f"g6:{key}", "GC=C",
-                         f"GC={gc.value},C={c.value}", gc.value == c.value,
-                         "" if gc.value == c.value else f"graph6={key}"))
-    return rows
+    return _gc_eq_c("gc_eq_c_rad3", _rad3_corpus(max_n), budget)
 
 
 def check_gc_eq_c_girth6(max_n=9, budget=None):
-    rows = []
-    for g in girth_at_least_6_graphs(max_n):
-        key = to_graph6(g)
-        gc = max_partition(g, "gc", budget)
-        c = max_partition(g, "c", budget)
-        if not (gc.exact and c.exact):
-            rows.append(CheckRow("gc_eq_c_girth6", f"g6:{key}", "GC=C", "?",
-                                 "inconclusive", "budget exhausted"))
-            continue
-        rows.append(_row("gc_eq_c_girth6", f"g6:{key}", "GC=C",
-                         f"GC={gc.value},C={c.value}", gc.value == c.value,
-                         "" if gc.value == c.value else f"graph6={key}"))
-    return rows
+    return _gc_eq_c("gc_eq_c_girth6", girth_at_least_6_graphs(max_n), budget)
 
 
 def check_gc_vs_prc(max_n=7, budget=None):
     """On full-vertex-free connected graphs: GC >= PRC and GC=n <=> PRC=n."""
-    rows = []
-    for n in range(2, min(max_n, 8) + 1):
-        for g in connected_graphs(n):
-            if g.full_vertices().bits:
-                continue
-            gc = max_partition(g, "gc", budget)
-            prc = max_partition(g, "prc", budget)
-            if not (gc.exact and prc.exact):
-                rows.append(CheckRow("gc_vs_prc", f"g6:{to_graph6(g)}", "", "?",
-                                     "inconclusive", "budget exhausted"))
-                continue
-            ok = gc.value >= prc.value and (gc.value == g.n) == (prc.value == g.n)
-            rows.append(_row("gc_vs_prc", f"g6:{to_graph6(g)}",
-                             "GC>=PRC and GC=n<=>PRC=n",
-                             f"GC={gc.value},PRC={prc.value},n={g.n}", ok,
-                             "" if ok else f"graph6={to_graph6(g)}"))
-    return rows
+    cases = (
+        (f"g6:{to_graph6(g)}", g, "GC>=PRC and GC=n<=>PRC=n", [(g, "gc"), (g, "prc")],
+         lambda gc, prc, n=g.n: (f"GC={gc},PRC={prc},n={n}", gc >= prc and (gc == n) == (prc == n)))
+        for g in _small_connected(max_n)
+        if not g.full_vertices().bits
+    )
+    return _sweep("gc_vs_prc", cases, budget)
 
 
 def check_gc_complement(max_n=7, budget=None):
-    rows = []
-    for n in range(2, min(max_n, 8) + 1):
-        for g in connected_graphs(n):
-            gc = max_partition(g, "gc", budget)
-            gcc = max_partition(g.complement(), "gc", budget)
-            if not (gc.exact and gcc.exact):
-                rows.append(CheckRow("gc_complement", f"g6:{to_graph6(g)}", "", "?",
-                                     "inconclusive", "budget exhausted"))
-                continue
-            ok = gc.value == gcc.value
-            rows.append(_row("gc_complement", f"g6:{to_graph6(g)}", "GC(G)=GC(co-G)",
-                             f"{gc.value}/{gcc.value}", ok,
-                             "" if ok else f"graph6={to_graph6(g)}"))
-    return rows
+    cases = (
+        (f"g6:{to_graph6(g)}", g, "GC(G)=GC(co-G)", [(g, "gc"), (g.complement(), "gc")],
+         lambda gc, gcc: (f"{gc}/{gcc}", gc == gcc))
+        for g in _small_connected(max_n)
+    )
+    return _sweep("gc_complement", cases, budget)
 
 
 def _unicyclic_specs(max_n: int):
-    out = []
-
-    def grid(tag, arity, base):
-        budget_n = max_n - base
-        if arity == 0:
-            if base <= max_n:
-                out.append(spec(tag))
-            return
-        ranges = range(1, budget_n + 1)
-        if arity == 1:
-            out.extend(spec(tag, a) for a in ranges if base + a <= max_n)
-        elif arity == 2:
-            out.extend(spec(tag, a, b) for a in ranges for b in ranges if base + a + b <= max_n)
-        else:
-            out.extend(
-                spec(tag, a, b, c)
-                for a in ranges for b in ranges for c in ranges
-                if base + a + b + c <= max_n
-            )
-
-    grid("u5_1", 1, 5)
-    grid("u5_2", 2, 5)
-    grid("u5_3", 3, 5)
-    grid("u5_4", 2, 5)
-    grid("u4_1", 1, 4)
-    grid("u4_2", 2, 4)
-    grid("u4_3", 2, 4)
-    grid("u3_1", 1, 3)
-    grid("u3_2", 2, 3)
-    grid("u3_3", 3, 3)
-    grid("u3_10", 0, 5)
-    grid("u3_14", 1, 5)
-    return out
+    return [
+        spec(tag, *counts)
+        for tag, (cycle_len, tail, supports) in UNICYCLIC_SHAPES.items()
+        for counts in itertools.product(range(1, max_n + 1), repeat=len(supports))
+        if cycle_len + len(tail) + sum(counts) <= max_n
+    ]
 
 
 def check_unicyclic_exact(max_n=11, budget=None):
@@ -322,49 +265,34 @@ def check_center_bound_unicyclic(max_n=9, budget=None):
     """Center-neighborhood partitions on radius-<=2 unicyclic graphs."""
     rows = []
     for cl in (3, 4, 5):
+        check = f"center_bound_unicyclic_c{cl}"
+        cases = []
         for g in enumerate_unicyclic(cl, min(max_n, 9), radius_cap=2):
             key = f"g6:{to_graph6(g)}"
-            m = metrics(g)
-            valid_sizes = []
-            for a in m.central_vertices():
-                part = construct_center_partition(g, a)
-                if verify_partition(g, part, "gc").valid:
-                    valid_sizes.append(len(part))
-            if not valid_sizes:
-                rows.append(CheckRow(f"center_bound_unicyclic_c{cl}", key,
-                                     "valid center partition", "none valid", "pass",
-                                     "bound not asserted"))
+            parts = (construct_center_partition(g, a) for a in metrics(g).central_vertices())
+            sizes = [len(p) for p in parts if verify_partition(g, p, "gc").valid]
+            if not sizes:
+                rows.append(CheckRow(check, key, "valid center partition", "none valid",
+                                     "pass", "bound not asserted"))
                 continue
-            res = max_partition(g, "gc", budget)
-            if not res.exact:
-                rows.append(CheckRow(f"center_bound_unicyclic_c{cl}", key, "", "?",
-                                     "inconclusive", "budget exhausted"))
-                continue
-            need = max(valid_sizes)
-            rows.append(_row(f"center_bound_unicyclic_c{cl}", key,
-                             f"GC>={need}", res.value, res.value >= need,
-                             "" if res.value >= need else f"graph6={to_graph6(g)}"))
+            need = max(sizes)
+            cases.append((key, g, f"GC>={need}", [(g, "gc")],
+                          lambda v, need=need: (v, v >= need)))
+        rows += _sweep(check, cases, budget)
     return rows
 
 
 def check_prc_full(max_n=6, budget=None):
     """Complete-bipartite-minus-matching families attain PRC = n."""
-    rows = []
     specs = [spec("t1", r) for r in (2, 3) if 2 * r <= max_n]
     specs += [
         spec("t2", r, s, mu)
         for r in (2, 3) for s in (2, 3) for mu in range(min(r, s))
         if r + s <= max_n
     ]
-    for g_spec in specs:
-        g = generate(g_spec)
-        res = max_partition(g, "prc", budget)
-        if not res.exact:
-            rows.append(CheckRow("prc_full", str(g_spec), str(g.n), f">={res.value}",
-                                 "inconclusive", "budget exhausted"))
-            continue
-        rows.append(_row("prc_full", str(g_spec), g.n, res.value, res.value == g.n))
-    return rows
+    graphs = ((s, generate(s)) for s in specs)
+    cases = (_value_case(str(s), g, "prc", g.n) for s, g in graphs)
+    return _sweep("prc_full", cases, budget)
 
 
 REGISTRY: dict[str, Callable] = {

@@ -1,9 +1,9 @@
 """Command-line surface for the toolkit.
 
-Exit codes: 0 success, 1 malformed input (structured error JSON), 2 a
-verification or theorem check came back invalid/failed, 3 the node budget
-ran out before the value was proved (a budget that runs out only in the
-witness pass exits 0 with ``"lex_least": false``).  All output is
+Exit codes: 0 success, 1 malformed input or malformed arguments (structured
+error JSON), 2 a verification or theorem check came back invalid/failed, 3
+the node budget ran out before the value was proved (a budget that runs out
+only in the witness pass exits 0 with ``"lex_least": false``).  All output is
 deterministic for fixed inputs; wall-clock timings are only emitted behind
 ``--timings`` so byte-identical reruns are the default.  ``--threads`` is
 accepted for interface stability; the exact solver runs sequentially, which
@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -176,11 +177,7 @@ def _cmd_check(args):
                  for r in rows]
         lines.append(f"worst: {worst}")
         return code, "\n".join(lines) + "\n"
-    return code, [
-        {"check": r.check, "instance": r.instance, "expected": r.expected,
-         "actual": r.actual, "status": r.status, "detail": r.detail}
-        for r in rows
-    ]
+    return code, [asdict(r) for r in rows]
 
 
 def _cmd_gcg(args):
@@ -217,8 +214,17 @@ def _cmd_enumerate(args):
     return 0, {"count": len(lines), "graph6": lines}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's usage errors as ``InvalidParamsError`` (exit 1)
+    instead of exiting with status 2, which means "verification failed".
+    Subparsers are built with the parent's class, so they raise too."""
+
+    def error(self, message):
+        raise InvalidParamsError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcoalition",
         description="Exact global coalition partition toolkit for small graphs.",
     )
@@ -284,15 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _envelope(args, payload=None, error=None, elapsed_ms=None):
+def _envelope(command, payload=None, error=None, elapsed_ms=None):
     record = {
-        "command": args.subcommand,
+        "command": command,
         "version": __version__,
     }
     if elapsed_ms is not None:
         record["elapsed_ms"] = elapsed_ms
     if error is not None:
-        record["error"] = error
+        record["error"] = {"type": type(error).__name__, "message": str(error)}
     else:
         record["result"] = payload
     return json.dumps(record, indent=2, sort_keys=True)
@@ -300,18 +306,19 @@ def _envelope(args, payload=None, error=None, elapsed_ms=None):
 
 def run(argv) -> tuple[int, str]:
     """Execute one command; returns (exit code, stdout text)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InvalidParamsError as exc:
+        return 1, _envelope(argv[0] if argv else "", error=exc)
     start = time.perf_counter()
     try:
         code, payload = args.fn(args)
     except (GcoalitionError, OSError, ValueError, KeyError) as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        return 1, _envelope(args, error=error)
+        return 1, _envelope(args.subcommand, error=exc)
     if isinstance(payload, str):  # csv / dot / text are emitted raw
         return code, payload
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3) if args.timings else None
-    return code, _envelope(args, payload=payload, elapsed_ms=elapsed_ms)
+    return code, _envelope(args.subcommand, payload=payload, elapsed_ms=elapsed_ms)
 
 
 def main(argv=None) -> int:

@@ -23,20 +23,32 @@ from .errors import (
 from .graph import Graph, from_edge_list, metrics
 from .iso import IsoDedup
 
-# INFERRED unicyclic variants: shapes reconstructed from their closed forms
-# and witness constructions, with no authoritative diagram available.
-INFERRED_TAGS = frozenset(
-    ["u5_1", "u5_2", "u5_3", "u5_4", "u4_1", "u4_2", "u4_3",
-     "u3_1", "u3_2", "u3_3", "u3_10", "u3_14"]
-)
+# The INFERRED unicyclic shapes, reconstructed from their closed forms and
+# witness constructions with no authoritative diagram available:
+# tag -> (cycle length, tail edges, supports).  The cycle is 0..cycle_len-1
+# (a=0, b=1, c=2, d=3, e=4), the tail edges add the next vertices, and each
+# parameter is the number of leaves on its support, appended in order.
+UNICYCLIC_SHAPES = {
+    "u5_1": (5, (), (0,)),
+    "u5_2": (5, (), (0, 4)),
+    "u5_3": (5, (), (0, 1, 4)),
+    "u5_4": (5, (), (1, 4)),
+    "u4_1": (4, (), (0,)),
+    "u4_2": (4, (), (0, 1)),
+    "u4_3": (4, (), (0, 2)),
+    "u3_1": (3, (), (0,)),
+    "u3_2": (3, (), (1, 2)),
+    "u3_3": (3, (), (0, 1, 2)),
+    # the triangle with the tail 0-3-4 (central vertex 3); u3_14 adds leaves on 0
+    "u3_10": (3, ((0, 3), (3, 4)), ()),
+    "u3_14": (3, ((0, 3), (3, 4)), (0,)),
+}
 
 _ARITY = {
     "path": 1, "cycle": 1, "complete": 1, "bipartite": 2, "multipartite": None,
     "wheel": 1, "fan": 1, "doublestar": 2, "spider": 2, "gk": 1,
     "t1": 1, "t2": 3,
-    "u5_1": 1, "u5_2": 2, "u5_3": 3, "u5_4": 2,
-    "u4_1": 1, "u4_2": 2, "u4_3": 2,
-    "u3_1": 1, "u3_2": 2, "u3_3": 3, "u3_10": 0, "u3_14": 1,
+    **{tag: len(supports) for tag, (_, _, supports) in UNICYCLIC_SHAPES.items()},
 }
 
 
@@ -90,8 +102,8 @@ def _cycle_edges(offset: int, length: int):
     return [(offset + i, offset + (i + 1) % length) for i in range(length)]
 
 
-def _with_leaves(n: int, edges: list, attach: list) -> tuple[int, list]:
-    """Append leaf blocks; ``attach`` is a list of (support, count)."""
+def _with_leaves(n: int, edges: list, attach) -> tuple[int, list]:
+    """Append leaf blocks; ``attach`` yields (support, count) pairs."""
     for support, count in attach:
         for _ in range(count):
             edges.append((support, n))
@@ -107,7 +119,8 @@ def generate(g_spec: FamilySpec) -> Graph:
     supports 0 (p leaves) and 1 (q leaves), leaves of 0 first.  spider l,x:
     center 0, mid vertices 1..l, leg tips l+1..2l, then x center leaves.
     gk: u=0, v block 1..k, w block k+1..2k.  u-families: cycle first
-    (a=0,b=1,...), then leaf blocks in the parameter order.
+    (a=0,b=1,...), then the tail, then leaf blocks in the parameter order
+    (``UNICYCLIC_SHAPES``).
     """
     t, p = g_spec.tag, g_spec.params
     if t == "path":
@@ -165,7 +178,7 @@ def generate(g_spec: FamilySpec) -> Graph:
         edges += [(1 + i, 1 + k + i) for i in range(k)]
         edges += [(1 + k + i, 1 + k + (i + 1) % k) for i in range(k)]
         labels = ["u"] + [f"v{i+1}" for i in range(k)] + [f"w{i+1}" for i in range(k)]
-        return Graph(2 * k + 1, _adj_of(2 * k + 1, edges), labels)
+        return from_edge_list(2 * k + 1, edges, labels)
     if t == "t1":
         r = p[0]
         _require(r >= 2, "t1 needs r >= 2")
@@ -177,54 +190,17 @@ def generate(g_spec: FamilySpec) -> Graph:
         _require(0 <= mu < min(r, s), "t2 matching must satisfy |M| < min(r,s)")
         edges = [(i, r + j) for i in range(r) for j in range(s) if not (i == j and i < mu)]
         return from_edge_list(r + s, edges)
-    if t.startswith("u5"):
-        return _unicyclic_variant(5, t, p)
-    if t.startswith("u4"):
-        return _unicyclic_variant(4, t, p)
-    if t.startswith("u3"):
-        return _unicyclic_variant(3, t, p)
+    if t in UNICYCLIC_SHAPES:
+        return _unicyclic_variant(t, p)
     raise InvalidParamsError(f"unknown family {t!r}")  # pragma: no cover
 
 
-def _adj_of(n, edges):
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def _unicyclic_variant(cycle_len: int, tag: str, p: tuple) -> Graph:
-    edges = _cycle_edges(0, cycle_len)
-    # cycle labels: a=0, b=1, c=2, d=3, e=4
-    attach = {
-        "u5_1": [(0, "n_a")],
-        "u5_2": [(0, "n_a"), (4, "n_e")],
-        "u5_3": [(0, "n_a"), (1, "n_b"), (4, "n_e")],
-        "u5_4": [(1, "n_b"), (4, "n_e")],
-        "u4_1": [(0, "n_a")],
-        "u4_2": [(0, "n_a"), (1, "n_b")],
-        "u4_3": [(0, "n_a"), (2, "n_c")],
-        "u3_1": [(0, "n_a")],
-        "u3_2": [(1, "n_b"), (2, "n_c")],
-        "u3_3": [(0, "n_a"), (1, "n_b"), (2, "n_c")],
-    }
-    if tag in attach:
-        counts = list(p)
-        _require(all(c >= 1 for c in counts), f"{tag} leaf counts must be >= 1")
-        pairs = [(v, counts[i]) for i, (v, _) in enumerate(attach[tag])]
-        n, edges = _with_leaves(cycle_len, edges, pairs)
-        return from_edge_list(n, edges)
-    if tag == "u3_10":
-        # triangle (0,1,2) with tail 0-3-4; central vertex 3
-        return from_edge_list(5, edges + [(0, 3), (3, 4)])
-    if tag == "u3_14":
-        # u3_10 plus n_x extra leaves on the tail's cycle vertex 0
-        n_x = p[0]
-        _require(n_x >= 1, "u3_14 needs n_x >= 1")
-        n, all_edges = _with_leaves(5, edges + [(0, 3), (3, 4)], [(0, n_x)])
-        return from_edge_list(n, all_edges)
-    raise InvalidParamsError(f"unknown unicyclic variant {tag!r}")  # pragma: no cover
+def _unicyclic_variant(tag: str, p: tuple) -> Graph:
+    cycle_len, tail, supports = UNICYCLIC_SHAPES[tag]
+    _require(all(c >= 1 for c in p), f"{tag} leaf counts must be >= 1")
+    edges = _cycle_edges(0, cycle_len) + list(tail)
+    n, edges = _with_leaves(cycle_len + len(tail), edges, zip(supports, p))
+    return from_edge_list(n, edges)
 
 
 def closed_form_gc(g_spec: FamilySpec):

@@ -54,6 +54,18 @@ class TestRegistry:
         assert all(r.status in ("pass", "inconclusive") for r in rows)
 
 
+@pytest.mark.parametrize("name", sorted(checks.REGISTRY))
+def test_inconclusive_rows_are_uniform(name):
+    full = {(r.check, r.instance): r for r in checks.check_theorem(name, max_n=6)}
+    for r in checks.check_theorem(name, max_n=6, budget=30):
+        ref = full[(r.check, r.instance)]
+        if r.status == "inconclusive":
+            assert r.detail == "budget exhausted"
+            assert r.expected == ref.expected
+        else:
+            assert r.status == ref.status
+
+
 class TestReports:
     def test_csv_shape(self):
         rows = checks.check_theorem("gc_complete", max_n=5)

@@ -108,6 +108,23 @@ class TestErrors:
             ["verify", "--kind", "gc", "--graph", "path:3", "--partition", "not json"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--kind", "bogus", "--graph", "path:3"],
+        ["verify", "--kind", "gc", "--graph", "path:3", "--partition", "singletons",
+         "--budget", "x"],
+        ["compute", "--kind", "gc"],
+        ["nosuch", "--graph", "path:3"],
+    ], ids=["invalid_choice", "non_integer_budget", "missing_graph", "unknown_subcommand"])
+    def test_malformed_arguments_exit1(self, argv):
+        code, payload = _validated(argv)
+        assert code == 1
+        assert payload["command"] == argv[0]
+        assert payload["error"]["type"] == "InvalidParamsError"
+
+    def test_no_arguments_exit1(self):
+        code, payload = _validated([])
+        assert code == 1 and payload["command"] == ""
+
 
 class TestFamilyAndGcg:
     def test_family_json(self):

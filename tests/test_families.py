@@ -22,7 +22,7 @@ from gcoalition import (
     spec,
     verify_partition,
 )
-from gcoalition.families import LowerBound, connected_graphs
+from gcoalition.families import UNICYCLIC_SHAPES, LowerBound, connected_graphs
 
 
 class TestSpecs:
@@ -83,6 +83,14 @@ class TestGenerators:
         g = generate(spec("u5_2", 2, 1))
         assert metrics(g).girth == 5
         assert g.degree(0) == 4 and g.degree(4) == 3  # supports a and e
+
+    @pytest.mark.parametrize("tag", sorted(UNICYCLIC_SHAPES))
+    def test_unicyclic_shape_table(self, tag):
+        cycle_len, tail, supports = UNICYCLIC_SHAPES[tag]
+        g = generate(spec(tag, *[1] * len(supports)))
+        assert g.is_connected() and g.edge_count() == g.n
+        assert metrics(g).girth == cycle_len
+        assert g.n == cycle_len + len(tail) + len(supports)
 
     def test_gk_labels(self):
         g = generate(spec("gk", 3))
