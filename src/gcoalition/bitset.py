@@ -87,11 +87,6 @@ class VertexSet:
         self._check(other)
         return not self.bits & ~other.bits
 
-    def with_vertex(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.universe:
-            raise ValueError("vertex outside universe")
-        return VertexSet(self.bits | 1 << v, self.universe)
-
     def without_vertex(self, v: int) -> "VertexSet":
         return VertexSet(self.bits & ~(1 << v), self.universe)
 

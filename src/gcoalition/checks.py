@@ -57,10 +57,11 @@ def _sweep(check: str, cases, budget, soft=False) -> list[CheckRow]:
     """One row per case ``(instance, graph, expected, solves, judge)``.
 
     ``solves`` lists the ``(graph, kind)`` pairs to solve exactly and
-    ``judge(*values)`` returns ``(actual, ok)``.  A row whose solves do not
-    all finish inside ``budget`` is inconclusive, with the same ``expected``
-    and ``actual`` ``>=v`` for a single solve (``?`` otherwise).  A row that
-    is not ok is a fail, or a finding when ``soft``.
+    ``judge(*results)`` reads their ``SolveResult`` records and returns
+    ``(actual, ok)``.  A row whose solves do not all finish inside
+    ``budget`` is inconclusive, with the same ``expected`` and ``actual``
+    ``>=v`` for a single solve (``?`` otherwise).  A row that is not ok is a
+    fail, or a finding when ``soft``.
     """
     rows = []
     for instance, g, expected, solves, judge in cases:
@@ -70,7 +71,7 @@ def _sweep(check: str, cases, budget, soft=False) -> list[CheckRow]:
             rows.append(CheckRow(check, instance, expected, actual,
                                  "inconclusive", "budget exhausted"))
             continue
-        actual, ok = judge(*(r.value for r in results))
+        actual, ok = judge(*results)
         status = "pass" if ok else "finding" if soft else "fail"
         rows.append(CheckRow(check, instance, expected, str(actual), status,
                              "" if ok else f"graph6={to_graph6(g)}"))
@@ -79,7 +80,7 @@ def _sweep(check: str, cases, budget, soft=False) -> list[CheckRow]:
 
 def _value_case(instance: str, g, kind: str, expected: int):
     """A case asserting that the exact ``kind`` value of ``g`` is ``expected``."""
-    return instance, g, str(expected), [(g, kind)], lambda v: (v, v == expected)
+    return instance, g, str(expected), [(g, kind)], lambda r: (r.value, r.value == expected)
 
 
 def _formula_rows(check: str, specs, budget, soft=False) -> list[CheckRow]:
@@ -144,22 +145,26 @@ def _small_connected(max_n: int):
     return (g for n in range(2, min(max_n, 8) + 1) for g in connected_graphs(n))
 
 
+def _partner_judge(g, res):
+    """Classes of the solver witness with more partners than their bound."""
+    bad = []
+    for i, vs in enumerate(res.witness.classes):
+        bound = gc_partner_bound(g, vs)
+        cnt = count_gc_partners(g, res.witness, i)
+        if cnt > bound:
+            bad.append((i, cnt, bound))
+    return (str(bad) if bad else "ok"), not bad
+
+
 def check_partner_bound(max_n=7, budget=None):
     """Partner counts on solver witnesses respect the degree/order bound."""
-    rows = []
-    for n in range(2, min(max_n, 7) + 1):
-        for g in connected_graphs(n):
-            res = max_partition(g, "gc", budget)
-            if res.witness is None:
-                continue
-            bad = []
-            for i, vs in enumerate(res.witness.classes):
-                bound = gc_partner_bound(g, vs)
-                cnt = count_gc_partners(g, res.witness, i)
-                if cnt > bound:
-                    bad.append((i, cnt, bound))
-            rows.append(CheckRow("partner_bound", f"g6:{to_graph6(g)}", "partners<=bound",
-                                 str(bad) if bad else "ok", "fail" if bad else "pass"))
+    cases = (
+        (f"g6:{to_graph6(g)}", g, "partners<=bound", [(g, "gc")],
+         lambda res, g=g: _partner_judge(g, res))
+        for n in range(2, min(max_n, 7) + 1)
+        for g in connected_graphs(n)
+    )
+    rows = _sweep("partner_bound", cases, budget)
     # sharpness on the k=4 sharpness graph: the middle class meets the bound
     if max_n >= 9:
         g_spec = spec("gk", 4)
@@ -213,7 +218,7 @@ def _rad3_corpus(max_n: int):
 def _gc_eq_c(check: str, graphs, budget):
     cases = (
         (f"g6:{to_graph6(g)}", g, "GC=C", [(g, "gc"), (g, "c")],
-         lambda gc, c: (f"GC={gc},C={c}", gc == c))
+         lambda gc, c: (f"GC={gc.value},C={c.value}", gc.value == c.value))
         for g in graphs
     )
     return _sweep(check, cases, budget)
@@ -231,7 +236,8 @@ def check_gc_vs_prc(max_n=7, budget=None):
     """On full-vertex-free connected graphs: GC >= PRC and GC=n <=> PRC=n."""
     cases = (
         (f"g6:{to_graph6(g)}", g, "GC>=PRC and GC=n<=>PRC=n", [(g, "gc"), (g, "prc")],
-         lambda gc, prc, n=g.n: (f"GC={gc},PRC={prc},n={n}", gc >= prc and (gc == n) == (prc == n)))
+         lambda gc, prc, n=g.n: (f"GC={gc.value},PRC={prc.value},n={n}",
+                                 gc.value >= prc.value and (gc.value == n) == (prc.value == n)))
         for g in _small_connected(max_n)
         if not g.full_vertices().bits
     )
@@ -241,7 +247,7 @@ def check_gc_vs_prc(max_n=7, budget=None):
 def check_gc_complement(max_n=7, budget=None):
     cases = (
         (f"g6:{to_graph6(g)}", g, "GC(G)=GC(co-G)", [(g, "gc"), (g.complement(), "gc")],
-         lambda gc, gcc: (f"{gc}/{gcc}", gc == gcc))
+         lambda gc, gcc: (f"{gc.value}/{gcc.value}", gc.value == gcc.value))
         for g in _small_connected(max_n)
     )
     return _sweep("gc_complement", cases, budget)
@@ -277,7 +283,7 @@ def check_center_bound_unicyclic(max_n=9, budget=None):
                 continue
             need = max(sizes)
             cases.append((key, g, f"GC>={need}", [(g, "gc")],
-                          lambda v, need=need: (v, v >= need)))
+                          lambda r, need=need: (r.value, r.value >= need)))
         rows += _sweep(check, cases, budget)
     return rows
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input or malformed arguments (structured
 error JSON), 2 a verification or theorem check came back invalid/failed, 3
-the node budget ran out before the value was proved (a budget that runs out
-only in the witness pass exits 0 with ``"lex_least": false``).  All output is
+the node budget ran out before the search finished (``"exact": false``; an
+exact solve's witness is the lexicographically least one).  All output is
 deterministic for fixed inputs; wall-clock timings are only emitted behind
 ``--timings`` so byte-identical reruns are the default.  ``--threads`` is
 accepted for interface stability; the exact solver runs sequentially, which
@@ -80,7 +80,6 @@ def _solve_payload(res):
         "witness": _witness_lists(res.witness),
         "nodes_explored": res.nodes_explored,
         "exact": res.exact,
-        "lex_least": res.lex_least,
     }
 
 

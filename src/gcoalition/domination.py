@@ -110,55 +110,46 @@ class DomaticWitness:
 def global_domatic(g: Graph) -> DomaticWitness:
     """Exact global domatic number with a witness partition.
 
-    Backtracking over restricted-growth assignments, trying class counts from
-    the upper bound ``n // gamma_g`` downwards; the first partition found is
-    the deterministic witness.
+    One restricted-growth DFS in lexicographic order, the search of
+    :mod:`.solvers` under another rule.  With ``rest`` the unassigned
+    vertices, every class ``m`` keeps ``m | rest`` a global dominating set
+    (a superset of its final class), and a leaf is kept when every class is
+    one and it has more classes than the best so far.  Each of the ``short``
+    classes that is not yet one needs a vertex of ``rest``, and each new
+    class needs two, since no single vertex dominates both a graph with
+    ``n >= 2`` and its complement; so no leaf below a node has more than
+    ``k + (|rest| - short) // 2`` classes, which is the bound.  ``{V}``
+    always qualifies, so the search starts from it.  By the argument in
+    :mod:`.solvers`, the witness is the lexicographically least partition
+    into ``d_g(G)`` global dominating sets.
     """
     n = g.n
-    gg = gamma_g(g).value
     gds = Tables(g).gds
+    rests = [g.full_mask >> i << i for i in range(n + 1)]
+    best = [g.full_mask]
+    classes: list[int] = []
 
-    def try_k(k: int):
-        if k == 1:
-            return [g.full_mask]
-        result = None
-
-        def dfs(i, classes):
-            nonlocal result
-            if result is not None:
+    def dfs(i):
+        rest = rests[i]
+        short = 0
+        for m in classes:
+            if not gds[m | rest]:
                 return
-            if i == n:
-                if len(classes) == k and all(gds[m] for m in classes):
-                    result = list(classes)
-                return
-            bit = 1 << i
-            for j, m in enumerate(classes):
-                classes[j] = m | bit
-                if _feasible(classes, i + 1):
-                    dfs(i + 1, classes)
-                classes[j] = m
-                if result is not None:
-                    return
-            if len(classes) < k:
-                classes.append(bit)
-                if _feasible(classes, i + 1):
-                    dfs(i + 1, classes)
-                classes.pop()
+            short += not gds[m]
+        k = len(classes)
+        if k + (n - i - short) // 2 <= len(best):
+            return
+        if i == n:
+            best[:] = classes
+            return
+        bit = 1 << i
+        for j in range(k):
+            classes[j] |= bit
+            dfs(i + 1)
+            classes[j] ^= bit
+        classes.append(bit)
+        dfs(i + 1)
+        classes.pop()
 
-        def _feasible(classes, i):
-            remaining = g.full_mask >> i << i
-            if bin(remaining).count("1") < k - len(classes):
-                return False
-            for m in classes:
-                if not gds[m | remaining]:
-                    return False
-            return True
-
-        dfs(0, [])
-        return result
-
-    for k in range(max(n // gg, 1), 0, -1):
-        found = try_k(k)
-        if found is not None:
-            return DomaticWitness(k=k, classes=tuple(VertexSet(m, n) for m in found))
-    raise AssertionError("k=1 always succeeds")  # pragma: no cover
+    dfs(0)
+    return DomaticWitness(k=len(best), classes=tuple(VertexSet(m, n) for m in best))

@@ -81,9 +81,6 @@ class Graph:
     def neighborhood(self, v: int) -> VertexSet:
         return VertexSet(self.adj[v], self.n)
 
-    def closed_mask(self, v: int) -> int:
-        return self.adj[v] | 1 << v
-
     def degree(self, v: int) -> int:
         return bin(self.adj[v]).count("1")
 

@@ -1,25 +1,31 @@
 """Exact maximum-partition solvers and the constructive algorithms.
 
-The maximizer runs one restricted-growth branch-and-bound twice: a first pass
-in new-class-first order finds the optimal class count quickly (good bound
-pruning), a second pass in lexicographic order recovers the lexicographically
-least witness of that size.  Classes that become (global) dominating sets are
-pruned on the spot because both properties are monotone under vertex
-addition.
+The maximizer is one restricted-growth branch-and-bound in lexicographic
+order: vertex ``i`` joins the open classes ``0..k-1`` in turn and then opens
+class ``k``.  It keeps every improvement and never stops early, so one pass
+gives both the maximum and its lexicographically least witness.  Leaves are
+reached in lex order.  The bound ``k + (n - i) <= best`` cuts a node only
+when no leaf below it has more than ``best`` classes, and every other prune
+removes only subtrees without a valid leaf.  Let ``L*`` be the lex-least
+optimal leaf.  Every leaf accepted before it precedes it in lex order, so it
+has fewer classes and ``best`` stays below the optimum.  Every node on the
+path to ``L*`` has ``L*``, with more than ``best`` classes, below it, so the
+bound cannot cut one.  The first optimal leaf accepted is therefore ``L*``.
 
-Both passes also apply a partner rule at every interior node.  Let ``R`` be
-the vertices not yet assigned.  Every class must end with a partner, and a
-final class ``M_i`` lies inside ``m_i | R``, where ``m_i`` is the class now;
-its partner is either a grown open class ``M_j`` inside ``m_j | R`` or a new
-class inside ``R``.  Global domination and domination are monotone under
-supersets, so a gc node is pruned when some class has neither
-``gds[m_i | R]`` nor, for any ``j != i``, ``gds[m_i | m_j | R]``.  For c and
-prc the rule reads ``dom`` and skips a dominating class: it is a singleton,
-exempt as long as nothing joins it, and no other class can take it as a
-partner.  The rule holds for prc because a perfect dominating union is
-dominating.  A pruned node has no valid leaf below it, so values and the
-lex pass's first valid leaf, hence witnesses, are those of the plain search;
-only the node count falls.
+Classes that become (global) dominating sets are pruned on the spot because
+both properties are monotone under vertex addition.  A partner rule applies
+at every interior node.  Let ``R`` be the vertices not yet assigned.  Every
+class must end with a partner, and a final class ``M_i`` lies inside
+``m_i | R``, where ``m_i`` is the class now; its partner is either a grown
+open class ``M_j`` inside ``m_j | R`` or a new class inside ``R``.  Global
+domination and domination are monotone under supersets, so a gc node is
+pruned when some class has neither ``gds[m_i | R]`` nor, for any ``j !=
+i``, ``gds[m_i | m_j | R]``.  For c and prc the rule reads ``dom`` and skips
+a dominating class: it is a singleton, exempt as long as nothing joins it,
+and no other class can take it as a partner.  The rule holds for prc because
+a perfect dominating union is dominating.  A pruned node has no valid leaf
+below it, so values and witnesses are those of the plain search; only the
+node count falls.
 """
 
 from __future__ import annotations
@@ -46,14 +52,9 @@ class SolveResult:
     nodes_explored: int
     elapsed: float
     exact: bool
-    lex_least: bool
 
 
 class _BudgetExhausted(Exception):
-    pass
-
-
-class _Found(Exception):
     pass
 
 
@@ -90,16 +91,9 @@ class _Search:
         self.best = 0
         self.best_masks = None
 
-    def run(self, lex: bool):
-        """Restricted-growth DFS for a valid partition of more than
-        ``self.best`` classes.
-
-        Value order (``lex=False``) opens a new class before joining an open
-        one, which reaches many-class leaves early, and keeps every
-        improvement.  Lex order joins first, opens at most ``best + 1``
-        classes and stops at the first valid leaf, which is then the
-        lexicographically least partition of that size.
-        """
+    def run(self):
+        """Restricted-growth DFS in lex order that keeps every valid leaf
+        with more than ``self.best`` classes; see the module docstring."""
         n, adj = self.n, self.adj
         prc = self.kind == "prc"
         t = self.tables
@@ -117,8 +111,6 @@ class _Search:
                 if k > self.best and _partnered(classes, 0, exempt, leaf_union):
                     self.best = k
                     self.best_masks = list(classes)
-                    if lex:
-                        raise _Found
                 return
             if k + (n - i) <= self.best or not _partnered(classes, rests[i], exempt, exempt):
                 return
@@ -131,21 +123,13 @@ class _Search:
                 if conflicts:
                     self._try_join(dfs, classes, i, conflicts[0], bit, a)
                     return
-            if not lex:
-                classes.append(bit)
-                dfs(i + 1)
-                classes.pop()
             for j in range(k):
                 self._try_join(dfs, classes, i, j, bit, a)
-            if lex and k <= self.best:
-                classes.append(bit)
-                dfs(i + 1)
-                classes.pop()
+            classes.append(bit)
+            dfs(i + 1)
+            classes.pop()
 
-        try:
-            dfs(0)
-        except _Found:
-            pass
+        dfs(0)
 
     def _try_join(self, dfs, classes, i, j, bit, a):
         m = classes[j]
@@ -173,14 +157,11 @@ class _Search:
 def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveResult:
     """Exact maximum class count over valid partitions of the given kind.
 
-    A first pass finds the maximum; a second pass, run only when the first
-    completed, recovers the lexicographically least witness of that size.
-    ``exact`` says the value is the maximum: it is false only when the node
-    budget ran out in the first pass, and the value is then the best found
-    so far (a lower bound).  ``lex_least`` says the witness is the
-    lexicographically least one: it is false whenever the budget ran out,
-    including in the second pass, where the exact value is kept with the
-    first pass's witness.
+    One lex-order pass finds the maximum and its lexicographically least
+    witness together.  ``exact`` says the search finished, so the value is
+    the maximum and the witness the lex-least one; it is false when the node
+    budget ran out, and the value is then the best found so far (a lower
+    bound) with the witness that attains it.
     """
     if kind not in ("c", "gc", "prc"):
         raise ValueError(f"unknown partition kind {kind!r}")
@@ -188,18 +169,10 @@ def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveRes
         raise TrivialGraphError("no gc-partition exists for the one-vertex graph")
     start = time.perf_counter()
     search = _Search(g, kind, DEFAULT_BUDGET if budget is None else budget)
-    exact = lex_least = False
+    exact = False
     try:
-        search.run(lex=False)
+        search.run()
         exact = True
-        value = search.best
-        if value:
-            search.best = value - 1
-            try:
-                search.run(lex=True)
-            finally:
-                search.best = value
-        lex_least = True
     except _BudgetExhausted:
         pass
     witness = None
@@ -212,7 +185,6 @@ def max_partition(g: Graph, kind: str, budget: Optional[int] = None) -> SolveRes
         nodes_explored=search.nodes,
         elapsed=time.perf_counter() - start,
         exact=exact,
-        lex_least=lex_least,
     )
 
 

@@ -57,7 +57,10 @@ class TestRegistry:
 @pytest.mark.parametrize("name", sorted(checks.REGISTRY))
 def test_inconclusive_rows_are_uniform(name):
     full = {(r.check, r.instance): r for r in checks.check_theorem(name, max_n=6)}
-    for r in checks.check_theorem(name, max_n=6, budget=30):
+    small = checks.check_theorem(name, max_n=6, budget=30)
+    # an undecided instance reads inconclusive; it never drops out
+    assert {(r.check, r.instance) for r in small} == set(full)
+    for r in small:
         ref = full[(r.check, r.instance)]
         if r.status == "inconclusive":
             assert r.detail == "budget exhausted"

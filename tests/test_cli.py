@@ -42,14 +42,14 @@ class TestCompute:
         assert code == 3
         assert payload["result"]["exact"] is False
 
-    def test_budget_exhausted_in_witness_pass_is_exact(self):
-        # the value pass completes after 3,739 nodes; the full solve takes
-        # 4,927, so only the lex-least witness pass runs out of budget
+    def test_budget_exhausted_keeps_a_valid_witness(self):
+        # the single lex-order pass finishes path:9 after 4,600 nodes, so a
+        # budget of 4,000 stops it after it has found some valid partitions
         code, payload = _validated(
             ["compute", "--kind", "gc", "--graph", "path:9", "--budget", "4000"])
         res = payload["result"]
-        assert code == 0
-        assert res["value"] == 5 and res["exact"] is True and res["lex_least"] is False
+        assert code == 3 and res["exact"] is False
+        assert res["witness"] is not None and len(res["witness"]) == res["value"]
         code, _ = _validated(["verify", "--kind", "gc", "--graph", "path:9",
                               "--partition", json.dumps(res["witness"])])
         assert code == 0

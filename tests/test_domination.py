@@ -20,6 +20,8 @@ from gcoalition import (
     minimal_gds_within,
 )
 
+from .reference import set_partitions
+
 
 def path(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
@@ -135,26 +137,17 @@ class TestGlobalDomatic:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = from_edge_list(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
         w = global_domatic(g)
-        # no partition into more GDS classes exists (checked by brute force)
-        def all_gds_partitions(k):
-            def rec(i, classes):
-                if i == n:
-                    return len(classes) == k and all(
-                        is_global_dominating(g, VertexSet(m, n)).is_global for m in classes
-                    )
-                bit = 1 << i
-                for j in range(len(classes)):
-                    classes[j] |= bit
-                    if rec(i + 1, classes):
-                        return True
-                    classes[j] &= ~bit
-                if len(classes) < k:
-                    classes.append(bit)
-                    if rec(i + 1, classes):
-                        return True
-                    classes.pop()
-                return False
-            return rec(0, [])
+        # brute force over all partitions in restricted-growth order: the
+        # witness is the first one into w.k GDS classes, and none has w.k + 1
+        # (so none has more: a union of GDS classes is one)
+        def gds_partitions(k):
+            return (
+                c for c in set_partitions(n)
+                if len(c) == k and all(
+                    is_global_dominating(g, VertexSet.from_indices(n, m)).is_global for m in c
+                )
+            )
 
-        assert all_gds_partitions(w.k)
-        assert not all_gds_partitions(w.k + 1)
+        first = next(gds_partitions(w.k))
+        assert [sorted(m) for m in first] == [c.indices() for c in w.classes]
+        assert next(gds_partitions(w.k + 1), None) is None

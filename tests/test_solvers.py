@@ -68,7 +68,7 @@ class TestWitnesses:
             for kind in ("gc", "c", "prc"):
                 res = max_partition(g, kind)
                 best, optima = ReferenceSolver(g).all_optima(kind)
-                assert res.value == best and res.exact and res.lex_least
+                assert res.value == best and res.exact
                 if best:
                     got = self._rgs(res.witness.to_lists(), g.n)
                     assert got == min(self._rgs(o, g.n) for o in optima)
@@ -81,7 +81,7 @@ class TestWitnesses:
         # of that size in set_partitions (restricted-growth) order
         res = max_partition(g, kind)
         ref = ReferenceSolver(g)
-        assert res.value == ref.max_value(kind) and res.exact and res.lex_least
+        assert res.value == ref.max_value(kind) and res.exact
         first = next(
             (c for c in set_partitions(g.n) if len(c) == res.value and ref.valid(c, kind)),
             None,
@@ -102,7 +102,7 @@ class TestWitnesses:
 class TestBudget:
     def test_budget_exhaustion_flags_inexact(self):
         res = max_partition(path(8), "gc", budget=50)
-        assert not res.exact and not res.lex_least
+        assert not res.exact
         assert res.nodes_explored >= 50
 
     def test_trivial_graph(self):
