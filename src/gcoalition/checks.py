@@ -36,11 +36,7 @@ from .families import (
 from .graph import classify_radius2_tree, metrics
 from .graph import Diam4, DoubleStarClass, Star
 from .graphio import to_graph6
-from .solvers import (
-    construct_center_partition,
-    construct_gc_from_domatic,
-    max_partition,
-)
+from .solvers import _gc_from_domatic, construct_center_partition, max_partition
 
 
 @dataclass(frozen=True)
@@ -181,8 +177,9 @@ def check_gc_ge_2dg(max_n=7, budget=None):
     """Constructed partition from a maximum global domatic partition."""
     rows = []
     for g in _small_connected(max_n):
-        dg = global_domatic(g).k
-        part = construct_gc_from_domatic(g)
+        witness = global_domatic(g)
+        dg = witness.k
+        part = _gc_from_domatic(g, witness)
         verdict = verify_partition(g, part, "gc")
         ok = verdict.valid and len(part) >= 2 * dg
         rows.append(CheckRow("gc_ge_2dg", f"g6:{to_graph6(g)}", f"valid,k>={2 * dg}",

@@ -472,12 +472,34 @@ def _add_pendant(g: Graph, v: int) -> Graph:
     return Graph(g.n + 1, adj)
 
 
+def _first_of_twins(g: Graph) -> list:
+    """For each vertex, whether no earlier vertex is its twin (equal open or
+    equal closed neighbourhood).
+
+    Swapping two twins is an automorphism, so a child built at a twin is
+    isomorphic to the child built at the earlier twin, which the loops below
+    offer to the dedup first; skipping it keeps every kept representative.
+    One set holds both kinds of neighbourhood: ``N(w) = N[v]`` is
+    impossible, as ``v`` in ``N(w)`` puts ``w`` in ``N(v)``, inside ``N(w)``.
+    """
+    seen = set()
+    first = []
+    for v, row in enumerate(g.adj):
+        closed = row | 1 << v
+        first.append(row not in seen and closed not in seen)
+        seen.add(row)
+        seen.add(closed)
+    return first
+
+
 def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[Graph]:
     """``base`` and every graph grown from it by pendant vertices, orders up
     to ``max_n``, up to isomorphism.
 
-    Pendant vertices are attached level by level; the radius filter prunes
-    during generation (radius never decreases under pendant addition).
+    Pendant vertices are attached level by level, and not at a vertex with an
+    earlier twin (``_first_of_twins``: the child has the same radius too);
+    the radius filter prunes during generation (radius never decreases under
+    pendant addition).
     """
     if base.n > max_n or (radius_cap is not None and metrics(base).radius > radius_cap):
         return
@@ -486,7 +508,9 @@ def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Itera
     while level and level[0].n < max_n:
         dedup = IsoDedup()
         for g in level:
-            for v in range(g.n):
+            for v, first in enumerate(_first_of_twins(g)):
+                if not first:
+                    continue
                 child = _add_pendant(g, v)
                 if radius_cap is not None and metrics(child).radius > radius_cap:
                     continue
@@ -536,26 +560,31 @@ def girth_at_least_6_graphs(max_n: int) -> list:
 
     Seeded with the unicyclic graphs of cycle length >= 6; chords between
     vertices at distance >= 5 preserve the girth bound, and every such graph
-    arises this way by deleting cycle edges.
+    arises this way by deleting cycle edges.  The seeds are pairwise
+    non-isomorphic already (one cycle length per call), and a graph with
+    ``k`` chords has ``n + k`` edges, so each chord level is deduplicated on
+    its own.  A chord at a vertex with an earlier twin is skipped
+    (``_first_of_twins``): twins lie within distance 2 of each other, so the
+    chord's other end is not the twin, and it is as far from the twin, whose
+    chord came first.
     """
-    dedup = IsoDedup()
-    frontier = []
-    for cl in range(6, max_n + 1):
-        for g in enumerate_unicyclic(cl, max_n, radius_cap=None):
-            if dedup.add(g):
-                frontier.append(g)
+    graphs = []
+    frontier = [g for cl in range(6, max_n + 1)
+                for g in enumerate_unicyclic(cl, max_n, radius_cap=None)]
     while frontier:
-        nxt = []
+        graphs += frontier
+        dedup = IsoDedup()
         for g in frontier:
+            first = _first_of_twins(g)
             for u in range(g.n):
+                if not first[u]:
+                    continue
                 dist = g.bfs_distances(u)
                 for v in range(u + 1, g.n):
-                    if dist[v] >= 5:
+                    if dist[v] >= 5 and first[v]:
                         adj = list(g.adj)
                         adj[u] |= 1 << v
                         adj[v] |= 1 << u
-                        child = Graph(g.n, adj)
-                        if dedup.add(child):
-                            nxt.append(child)
-        frontier = nxt
-    return dedup.graphs
+                        dedup.add(Graph(g.n, adj))
+        frontier = dedup.graphs
+    return graphs

@@ -5,33 +5,83 @@ refinement (McKay & Piperno, "Practical graph isomorphism, II", 2014).
 Colour refinement runs to the stable colouring; colour ids are the ranks of
 (old colour, sorted neighbour colours), so they are isomorphism-invariant.
 The search individualises each vertex of the smallest non-singleton cell in
-turn and refines again.  A vertex that is a twin of an earlier one in the
-cell is skipped: swapping the two is an automorphism that fixes the current
-colouring, so its subtree holds the same leaves.  No other automorphism
-prunes the search, so k interchangeable parts that are not twins (the legs
-of a spider with legs of length 2) give at least k! leaves.  At a leaf every
-vertex has its own colour, which relabels the graph; the certificate is the
-least relabelled adjacency over all leaves.  Two graphs have equal
-certificates exactly when they are isomorphic, so no collision check
-follows.
+turn and refines again.  At a leaf every vertex has its own colour, which
+relabels the graph; the certificate is the least relabelled adjacency over
+all leaves.  Two graphs have equal certificates exactly when they are
+isomorphic, so no collision check follows.
+
+Refinement and individualisation order each vertex's new colour first by
+its old one, so a vertex alone in its cell at a node has, in every leaf
+below the node, the colour that counts the vertices of the earlier cells.
+Hence two leaves with equal relabelled graphs show an automorphism (map
+each vertex of the first leaf to the vertex of the same colour in the
+second) that fixes every vertex individualised above the node where their
+paths part.  An automorphism ``a`` that fixes a node's individualised
+vertices fixes its colouring, since refinement is isomorphism-invariant,
+and maps the subtree of branch ``v`` onto the subtree of branch ``a(v)``
+with the same relabelled graphs at the leaves.  Three rules skip such
+subtrees, each a copy of one already searched, so the least leaf survives:
+
+- a vertex that is a twin of an earlier branch (equal open or closed
+  neighbourhood) is skipped: swapping the two is such an automorphism.
+  One set holds both kinds of neighbourhood: ``N(w) = N[v]`` is
+  impossible, as ``v`` in ``N(w)`` puts ``w`` in ``N(v)``, inside ``N(w)``;
+- a branch in the orbit of a searched branch, under the automorphisms
+  found so far that fix the node's individualised vertices, is skipped;
+- when a leaf shows an automorphism, the branch it lies in at the node
+  where its path parts from the earlier leaf's is abandoned: that branch is
+  the image of the earlier one, which has been searched.
+
+A pruned subtree has the same least leaf as the whole subtree, so the
+arguments nest.  The legs of a spider, interchangeable but not twins, then
+cost about one extra leaf per leg instead of k! leaves.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .bitset import bits_of
 from .graph import Graph
 
 
-def _refine(nbrs, colors: list) -> list:
-    """The stable refinement of ``colors``, as dense isomorphism-invariant ranks."""
-    count = len(set(colors))
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in vs))) for v, vs in enumerate(nbrs)]
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+@lru_cache(maxsize=1 << 12)
+def _members(row: int) -> tuple:
+    """The vertices of an adjacency row; rows recur across the graphs of a
+    corpus."""
+    return tuple(bits_of(row))
+
+
+def _refine(nbrs, colors: list, count: int) -> tuple:
+    """The stable refinement of the dense colouring ``colors`` with
+    ``count`` colours, as ``(colors, count)``.
+
+    Each pass gives every vertex the rank of its signature (colour, sorted
+    neighbour colours).  A strictly increasing relabelling of the colours
+    keeps the order of the signatures, so a pass depends only on the order
+    of its input colours: the dense degree ranks the search starts from are
+    what a first pass from one colour gives, and a dense individualised
+    colouring refines as a sparse one in the same order would.  A vertex
+    alone in its colour is ordered by that colour alone, so its signature
+    leaves the neighbour colours out.  A pass that adds no colour maps a
+    dense colouring to itself, so the loop stops there, and at once when
+    the colouring is discrete.
+    """
+    n = len(nbrs)
+    while count < n:
+        get = colors.__getitem__
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        sigs = [(c,) if sizes[c] == 1 else (c, tuple(sorted(map(get, vs))))
+                for c, vs in zip(colors, nbrs)]
+        distinct = sorted(set(sigs))
+        if len(distinct) == count:
+            break
+        rank = {sig: i for i, sig in enumerate(distinct)}
         colors = [rank[sig] for sig in sigs]
-        if len(rank) == count:
-            return colors
-        count = len(rank)
+        count = len(distinct)
+    return colors, count
 
 
 def canonical_hash(g: Graph) -> int:
@@ -42,31 +92,76 @@ def canonical_hash(g: Graph) -> int:
     bits ``i*n .. i*n + n - 1``, with ``n`` above them.
     """
     n, adj = g.n, g.adj
-    nbrs = [tuple(bits_of(row)) for row in adj]
+    nbrs = list(map(_members, adj))
+    leaves: dict[int, tuple] = {}  # certificate -> (path, colours) of its first leaf
+    auts: list[list[int]] = []
 
-    def search(colors):
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        if len(cells) == n:
+    def search(colors, count, path):
+        """Searches below the node individualising ``path``; returns None, or
+        the depth whose current branch is to be abandoned."""
+        if count == n:
+            bit = [1 << c for c in colors]
             cert = n << (n * n)
             for v, vs in enumerate(nbrs):
-                row = 0
-                for u in vs:
-                    row |= 1 << colors[u]
-                cert |= row << (n * colors[v])
-            return cert
-        _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
-        branches = []
-        for v in cells[target]:
-            if not any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in branches):
-                branches.append(v)
-        return min(
-            search(_refine(nbrs, [2 * cu + (u != v) for u, cu in enumerate(colors)]))
-            for v in branches
-        )
+                cert |= sum(map(bit.__getitem__, vs)) << (n * colors[v])
+            first = leaves.setdefault(cert, (path, colors))
+            if first[0] is path:
+                return None
+            other, theirs = first
+            where = [0] * n
+            for v, c in enumerate(colors):
+                where[c] = v
+            auts.append([where[c] for c in theirs])
+            depth = 0
+            while other[depth] == path[depth]:
+                depth += 1
+            return depth
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        _, t = min((size, c) for c, size in enumerate(sizes) if size > 1)
+        cell = [v for v, c in enumerate(colors) if c == t]
+        shifted = [c + (c > t) for c in colors]
+        for u in cell:
+            shifted[u] = t + 1
+        orbit = None  # union-find over vertices, once an automorphism fixes path
+        used = 0
+        hoods, searched = set(), []
+        for v in cell:
+            row, closed = adj[v], adj[v] | 1 << v
+            if row in hoods or closed in hoods:
+                continue  # a twin of an earlier branch
+            hoods.add(row)
+            hoods.add(closed)
+            for gamma in auts[used:]:
+                if all(gamma[p] == p for p in path):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for x, y in enumerate(gamma):
+                        orbit[_root(orbit, x)] = _root(orbit, y)
+            used = len(auts)
+            if orbit is not None and any(_root(orbit, v) == _root(orbit, w) for w in searched):
+                continue
+            searched.append(v)
+            # v keeps colour t, the rest of its cell moves to t + 1 and every
+            # later colour up one: dense, in the order of (colour, u != v)
+            child = shifted.copy()
+            child[v] = t
+            depth = search(*_refine(nbrs, child, count + 1), path + [v])
+            if depth is not None and depth < len(path):
+                return depth
+        return None
 
-    return search(_refine(nbrs, [0] * n))
+    degrees = [len(vs) for vs in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    search(*_refine(nbrs, [rank[d] for d in degrees], len(rank)), [])
+    return min(leaves)
+
+
+def _root(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

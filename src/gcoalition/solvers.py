@@ -36,7 +36,7 @@ from typing import Optional
 
 from .bitset import VertexSet, bits_of
 from .coalition import Partition
-from .domination import global_domatic, minimal_gds_within
+from .domination import DomaticWitness, global_domatic, minimal_gds_within
 from .errors import TrivialGraphError
 from .graph import Graph
 from .tables import Tables, is_gds
@@ -215,7 +215,12 @@ def construct_gc_from_domatic(g: Graph) -> Partition:
     """
     if g.n < 2:
         raise TrivialGraphError("construction needs at least two vertices")
-    witness = global_domatic(g)
+    return _gc_from_domatic(g, global_domatic(g))
+
+
+def _gc_from_domatic(g: Graph, witness: DomaticWitness) -> Partition:
+    """``construct_gc_from_domatic`` from a given maximum global domatic
+    partition ``witness`` of ``g``, for callers that already hold one."""
     k = witness.k
     masks = [vs.bits for vs in witness.classes]
     # trim the first k-1 classes, dumping surplus into the last

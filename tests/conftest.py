@@ -35,8 +35,8 @@ def corpus8():
 
 
 @pytest.fixture(scope="session")
-def trees11():
-    return list(enumerate_trees(11))
+def trees13():
+    return list(enumerate_trees(13))
 
 
 @pytest.fixture(scope="session")

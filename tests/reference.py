@@ -4,7 +4,10 @@ Deliberately naive and structurally different from the package solver: plain
 Python sets instead of bitmasks, an explicit complement neighborhood, and a
 full Bell-number sweep over all set partitions via restricted-growth
 recursion, with no pruning beyond predicate memoization.  Isomorphism is
-decided by trying every vertex permutation.
+decided by trying every vertex permutation.  ``reference_certificate`` is the
+package's canonical certificate computed with no automorphism pruning beyond
+twins and no shortcuts in refinement; the reference enumerators try every
+pendant vertex and every chord and deduplicate by that certificate.
 """
 
 from __future__ import annotations
@@ -25,6 +28,108 @@ def is_isomorphic(g1, g2) -> bool:
         all(frozenset(perm[u] for u in e) in edges2 for e in edges1)
         for perm in itertools.permutations(range(g1.n))
     )
+
+
+def _reference_refine(nbrs, colors):
+    count = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in vs))) for v, vs in enumerate(nbrs)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colors
+        count = len(rank)
+
+
+def reference_certificate(g) -> int:
+    """The least relabelled adjacency over all leaves of the
+    individualisation-refinement tree, pruned by twins only; the package's
+    ``canonical_hash`` must return the same int."""
+    n, adj = g.n, g.adj
+    nbrs = [[u for u in range(n) if row >> u & 1] for row in adj]
+
+    def search(colors):
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        if len(cells) == n:
+            cert = n << (n * n)
+            for v, vs in enumerate(nbrs):
+                row = 0
+                for u in vs:
+                    row |= 1 << colors[u]
+                cert |= row << (n * colors[v])
+            return cert
+        _, target = min((len(cell), c) for c, cell in cells.items() if len(cell) > 1)
+        branches = []
+        for v in cells[target]:
+            if not any(adj[v] & ~(1 << w) == adj[w] & ~(1 << v) for w in branches):
+                branches.append(v)
+        return min(
+            search(_reference_refine(nbrs, [2 * cu + (u != v) for u, cu in enumerate(colors)]))
+            for v in branches
+        )
+
+    return search(_reference_refine(nbrs, [0] * n))
+
+
+def _with_edge(g, u, v):
+    adj = list(g.adj)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return type(g)(g.n, adj)
+
+
+def _new_classes(graphs, seen):
+    """The graphs whose certificate is not in ``seen`` yet, first of each."""
+    out = []
+    for g in graphs:
+        cert = reference_certificate(g)
+        if cert not in seen:
+            seen.add(cert)
+            out.append(g)
+    return out
+
+
+def _radius(g):
+    return min(max(g.bfs_distances(v)) for v in range(g.n))
+
+
+def reference_pendant_growth(base, max_n, radius_cap):
+    """``base`` and its pendant growths up to ``max_n`` vertices, trying a
+    pendant at every vertex of every graph of the level before."""
+    if base.n > max_n or (radius_cap is not None and _radius(base) > radius_cap):
+        return []
+    level, out = [base], [base]
+    while level and level[0].n < max_n:
+        children = []
+        for g in level:
+            for v in range(g.n):
+                adj = list(g.adj) + [1 << v]
+                adj[v] |= 1 << g.n
+                child = type(g)(g.n + 1, adj)
+                if radius_cap is None or _radius(child) <= radius_cap:
+                    children.append(child)
+        level = _new_classes(children, set())
+        out += level
+    return out
+
+
+def reference_chord_levels(seeds):
+    """``seeds`` and every graph reached by adding chords between vertices
+    at distance >= 5, trying every pair, first of each class in the order
+    reached."""
+    seen, out = set(), []
+    frontier = _new_classes(seeds, seen)
+    while frontier:
+        out += frontier
+        children = []
+        for g in frontier:
+            for u in range(g.n):
+                dist = g.bfs_distances(u)
+                children += [_with_edge(g, u, v) for v in range(u + 1, g.n) if dist[v] >= 5]
+        frontier = _new_classes(children, seen)
+    return out
 
 
 def set_partitions(n):

@@ -22,7 +22,9 @@ from gcoalition import (
     spec,
     verify_partition,
 )
-from gcoalition.families import UNICYCLIC_SHAPES, LowerBound, connected_graphs
+from gcoalition.families import UNICYCLIC_SHAPES, LowerBound, connected_graphs, enumerate_trees
+
+from .reference import reference_chord_levels, reference_pendant_growth
 
 
 class TestSpecs:
@@ -194,14 +196,32 @@ class TestEnumerators:
                 assert not are_isomorphic(g, other)
             seen.append(g)
 
-    def test_tree_counts(self, trees11):
+    def test_tree_counts(self, trees13):
         counts = {}
-        for g in trees11:
+        for g in trees13:
             assert is_tree(g)
             counts[g.n] = counts.get(g.n, 0) + 1
         # OEIS A000055, free trees on n nodes
         assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
-                          9: 47, 10: 106, 11: 235}
+                          9: 47, 10: 106, 11: 235, 12: 551, 13: 1301}
+
+    # The twin-skipping enumerators must keep the very graphs, in the very
+    # order, that trying every pendant vertex and every chord keeps.
+    @pytest.mark.parametrize("cap", [2, None])
+    @pytest.mark.parametrize("cl", [3, 4, 5, 6])
+    def test_unicyclic_matches_reference(self, cl, cap):
+        want = reference_pendant_growth(generate(spec("cycle", cl)), 9, cap)
+        assert [g.adj for g in enumerate_unicyclic(cl, 9, radius_cap=cap)] == [g.adj for g in want]
+
+    def test_trees_match_reference(self):
+        want = reference_pendant_growth(generate(spec("path", 1)), 10, None)
+        assert [g.adj for g in enumerate_trees(10)] == [g.adj for g in want]
+
+    def test_girth6_matches_reference(self):
+        seeds = [g for cl in range(6, 11)
+                 for g in reference_pendant_growth(generate(spec("cycle", cl)), 10, None)]
+        want = reference_chord_levels(seeds)
+        assert [g.adj for g in girth_at_least_6_graphs(10)] == [g.adj for g in want]
 
     def test_unicyclic_counts(self):
         counts = {}

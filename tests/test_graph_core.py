@@ -1,6 +1,7 @@
 """Graph kernel: construction, metrics, serialization, isomorphism."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -28,10 +29,11 @@ from gcoalition import (
     to_edge_list,
     to_graph6,
 )
+from gcoalition.families import generate, spec
 from gcoalition.graph import Diam4, DoubleStarClass, PathFour, RadiusAtLeast3, Star
 from gcoalition.iso import IsoDedup
 
-from .reference import is_isomorphic
+from .reference import is_isomorphic, reference_certificate
 
 
 def path(n):
@@ -44,6 +46,40 @@ def cycle(n):
 
 def complete(n):
     return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def relabel(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def random_cubic(rnd, n):
+    """A uniform random 3-regular graph on ``n`` (even) vertices, by the
+    pairing model with rejection of loops and multiple edges."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rnd.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
+        if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
+            return from_edge_list(n, sorted(edges))
+
+
+@st.composite
+def certificate_inputs(draw):
+    """Random graphs on up to 9 vertices at any density, relabelled spiders
+    (interchangeable legs that are not twins) and random cubic graphs
+    (degree refinement splits nothing)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("gnp", "spider", "cubic")))
+    if kind == "gnp":
+        n, p = draw(st.integers(1, 9)), draw(st.floats(0, 1))
+        return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rnd.random() < p])
+    if kind == "spider":
+        legs, extra = draw(st.integers(2, 6)), draw(st.integers(0, 2))
+        return relabel(generate(spec("spider", legs, extra)), rnd)
+    return random_cubic(rnd, draw(st.sampled_from((4, 6, 8, 10))))
 
 
 class TestConstruction:
@@ -248,6 +284,30 @@ class TestIsomorphism:
         perm = data.draw(st.permutations(range(n)))
         b = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges ^ toggled])
         assert (canonical_hash(a) == canonical_hash(b)) == is_isomorphic(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_inputs())
+    def test_certificate_equals_reference(self, g):
+        # the pruned search must return the very int the unpruned one does
+        assert canonical_hash(g) == reference_certificate(g)
+
+    # Graphs closed under a random permutation, found by a random search, on
+    # which abandoning a branch above the node where two equal leaves part
+    # loses the least leaf.
+    @pytest.mark.parametrize("text", ["I}p|[ildo", "J\\t}n~j~~~_", "Jvvj~||l~V_", "J~n|~~}|^{_"])
+    def test_certificate_equals_reference_on_symmetric_graphs(self, text):
+        g = from_graph6(text)
+        assert canonical_hash(g) == reference_certificate(g)
+        assert canonical_hash(relabel(g, random.Random(text))) == reference_certificate(g)
+
+    def test_spider_legs(self):
+        # 8 interchangeable legs of length 2: k! leaves without orbit pruning
+        spider = generate(spec("spider", 8, 0))
+        relabeled = relabel(spider, random.Random(8))
+        longer = from_edge_list(spider.n + 1, spider.edges() + [(spider.n - 1, spider.n)])
+        assert are_isomorphic(spider, relabeled)
+        assert not are_isomorphic(spider, longer)
+        assert not are_isomorphic(relabeled, longer)
 
     def test_dedup_counts(self):
         dedup = IsoDedup()
