@@ -21,7 +21,7 @@ from .errors import (
     NoKnownFormulaError,
 )
 from .graph import Graph, from_edge_list, metrics
-from .iso import IsoDedup
+from .iso import IsoDedup, _canonical_form
 
 # The INFERRED unicyclic shapes, reconstructed from their closed forms and
 # witness constructions with no authoritative diagram available:
@@ -466,63 +466,101 @@ def is_T1_or_T2(g: Graph):
 # -- enumerators -------------------------------------------------------
 
 
-def _add_pendant(g: Graph, v: int) -> Graph:
-    adj = list(g.adj) + [1 << v]
-    adj[v] |= 1 << g.n
-    return Graph(g.n + 1, adj)
+def _symmetries(g: Graph, auts: list) -> list:
+    """Automorphisms of ``g``, as lists of vertex images: the found ones
+    ``auts`` and the swap of each vertex with its first earlier twin.
 
-
-def _first_of_twins(g: Graph) -> list:
-    """For each vertex, whether no earlier vertex is its twin (equal open or
-    equal closed neighbourhood).
-
-    Swapping two twins is an automorphism, so a child built at a twin is
-    isomorphic to the child built at the earlier twin, which the loops below
-    offer to the dedup first; skipping it keeps every kept representative.
-    One set holds both kinds of neighbourhood: ``N(w) = N[v]`` is
-    impossible, as ``v`` in ``N(w)`` puts ``w`` in ``N(v)``, inside ``N(w)``.
+    Twins have equal open or equal closed neighbourhoods, and the search
+    behind ``auts`` skips twin branches without recording their swap.  One
+    dict holds both kinds of neighbourhood: ``N(w) = N[v]`` is impossible,
+    as ``v`` in ``N(w)`` puts ``w`` in ``N(v)``, inside ``N(w)``.
     """
-    seen = set()
-    first = []
+    gens = list(auts)
+    first = {}
     for v, row in enumerate(g.adj):
         closed = row | 1 << v
-        first.append(row not in seen and closed not in seen)
-        seen.add(row)
-        seen.add(closed)
-    return first
+        w = first.get(row, first.get(closed))
+        if w is None:
+            first[row] = first[closed] = v
+        else:
+            swap = list(range(g.n))
+            swap[v], swap[w] = w, v
+            gens.append(swap)
+    return gens
 
 
-def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[Graph]:
+def _orbit_leaders(points: list, gens: list) -> list:
+    """The ``points`` (sorted vertex tuples), in order, that no earlier point
+    maps to under the group the permutations ``gens`` generate.
+
+    ``points`` must be closed under ``gens``; then each orbit's leader is its
+    first point, so every point skipped is the image of an earlier leader.
+    A finite group's orbit is the closure of a point under its generators.
+    """
+    seen, leaders = set(), []
+    for p in points:
+        if p in seen:
+            continue
+        leaders.append(p)
+        seen.add(p)
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            for gamma in gens:
+                r = tuple(sorted(map(gamma.__getitem__, q)))
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+    return leaders
+
+
+def _pendant_radii(g: Graph) -> list:
+    """The radius of ``g`` plus a pendant vertex at ``v``, for each ``v`` of
+    the connected graph ``g``, from one all-pairs BFS of ``g``.
+
+    A pendant ``x`` at ``v`` has ``d(u, x) = d(u, v) + 1`` and changes no
+    other distance, so ``ecc'(u) = max(ecc(u), d(u, v) + 1)``; ``x`` itself,
+    with ``ecc'(x) = ecc(v) + 1``, is never more central than ``v``.
+    """
+    dist = [g.bfs_distances(u) for u in range(g.n)]
+    ecc = [max(row) for row in dist]
+    return [min(max(e, row[v] + 1) for e, row in zip(ecc, dist)) for v in range(g.n)]
+
+
+def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[tuple]:
     """``base`` and every graph grown from it by pendant vertices, orders up
-    to ``max_n``, up to isomorphism.
+    to ``max_n``, up to isomorphism, each as ``(graph, automorphisms)``.
 
-    Pendant vertices are attached level by level, and not at a vertex with an
-    earlier twin (``_first_of_twins``: the child has the same radius too);
-    the radius filter prunes during generation (radius never decreases under
-    pendant addition).
+    Pendant vertices are attached level by level.  A parent gets one child
+    per orbit of its vertices, at the orbit's first vertex, under the
+    automorphisms its certificate search found and its twin swaps
+    (``_symmetries``).  These are true automorphisms, so a skipped child is
+    isomorphic, with the same radius, to an earlier child of the same
+    parent, and the dedup keeps the same graphs in the same order.  The
+    radius filter prunes during generation (radius never decreases under
+    pendant addition), reading each child's radius off its parent
+    (``_pendant_radii``).
     """
     if base.n > max_n or (radius_cap is not None and metrics(base).radius > radius_cap):
         return
-    level = [base]
-    yield base
-    while level and level[0].n < max_n:
+    level = [(base, _canonical_form(base)[1])]
+    yield from level
+    while level and level[0][0].n < max_n:
         dedup = IsoDedup()
-        for g in level:
-            for v, first in enumerate(_first_of_twins(g)):
-                if not first:
-                    continue
-                child = _add_pendant(g, v)
-                if radius_cap is not None and metrics(child).radius > radius_cap:
-                    continue
-                dedup.add(child)
-        level = dedup.graphs
+        for g, auts in level:
+            radii = _pendant_radii(g) if radius_cap is not None else None
+            for (v,) in _orbit_leaders([(v,) for v in range(g.n)], _symmetries(g, auts)):
+                if radii is None or radii[v] <= radius_cap:
+                    dedup.add(g._plus_edge(v, g.n))
+        level = list(zip(dedup.graphs, dedup.automorphisms))
         yield from level
 
 
 def enumerate_trees(max_n: int) -> Iterator[Graph]:
     """All free trees up to isomorphism, orders 1..max_n, by pendant growth
     from ``K1``."""
-    yield from _pendant_growth(from_edge_list(1, []), max_n, None)
+    for g, _ in _pendant_growth(from_edge_list(1, []), max_n, None):
+        yield g
 
 
 def enumerate_unicyclic(
@@ -531,7 +569,8 @@ def enumerate_unicyclic(
     """Connected unicyclic graphs with the given cycle length, up to iso,
     by pendant growth from the cycle."""
     if cycle_len >= 3:
-        yield from _pendant_growth(generate(spec("cycle", cycle_len)), max_n, radius_cap)
+        for g, _ in _pendant_growth(generate(spec("cycle", cycle_len)), max_n, radius_cap):
+            yield g
 
 
 _CONNECTED_CACHE: dict[int, list] = {}
@@ -555,36 +594,46 @@ def connected_graphs(n: int) -> list:
     return result
 
 
+def _far_pairs(g: Graph) -> list:
+    """The pairs ``u < v`` of the connected graph ``g`` at distance >= 5, in
+    order: ``v`` lies outside the radius-4 ball around ``u``."""
+    pairs = []
+    for u in range(g.n):
+        ball = frontier = 1 << u
+        for _ in range(4):
+            reach = 0
+            for w in bits_of(frontier):
+                reach |= g.adj[w]
+            frontier = reach & ~ball
+            ball |= frontier
+        far = g.full_mask & ~ball
+        pairs += [(u, v) for v in bits_of(far >> u + 1 << u + 1)]
+    return pairs
+
+
 def girth_at_least_6_graphs(max_n: int) -> list:
     """Connected graphs that contain a cycle and have girth >= 6.
 
     Seeded with the unicyclic graphs of cycle length >= 6; chords between
     vertices at distance >= 5 preserve the girth bound, and every such graph
     arises this way by deleting cycle edges.  The seeds are pairwise
-    non-isomorphic already (one cycle length per call), and a graph with
+    non-isomorphic already (one cycle length per growth), and a graph with
     ``k`` chords has ``n + k`` edges, so each chord level is deduplicated on
-    its own.  A chord at a vertex with an earlier twin is skipped
-    (``_first_of_twins``): twins lie within distance 2 of each other, so the
-    chord's other end is not the twin, and it is as far from the twin, whose
-    chord came first.
+    its own.  A parent gets one chord per orbit of its far pairs under the
+    automorphisms found for it, by its growth or its level's dedup, and its
+    twin swaps (``_symmetries``), at the orbit's first pair: automorphisms
+    keep distances, so a skipped chord gives a graph isomorphic to an
+    earlier chord's of the same parent, and the dedup keeps the same graphs
+    in the same order.
     """
     graphs = []
-    frontier = [g for cl in range(6, max_n + 1)
-                for g in enumerate_unicyclic(cl, max_n, radius_cap=None)]
+    frontier = [seed for cl in range(6, max_n + 1)
+                for seed in _pendant_growth(generate(spec("cycle", cl)), max_n, None)]
     while frontier:
-        graphs += frontier
+        graphs += [g for g, _ in frontier]
         dedup = IsoDedup()
-        for g in frontier:
-            first = _first_of_twins(g)
-            for u in range(g.n):
-                if not first[u]:
-                    continue
-                dist = g.bfs_distances(u)
-                for v in range(u + 1, g.n):
-                    if dist[v] >= 5 and first[v]:
-                        adj = list(g.adj)
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
-                        dedup.add(Graph(g.n, adj))
-        frontier = dedup.graphs
+        for g, auts in frontier:
+            for u, v in _orbit_leaders(_far_pairs(g), _symmetries(g, auts)):
+                dedup.add(g._plus_edge(u, v))
+        frontier = list(zip(dedup.graphs, dedup.automorphisms))
     return graphs

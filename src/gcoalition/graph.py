@@ -7,7 +7,8 @@ neighborhood algebra stays single-word.  The build limit is 64 vertices.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .bitset import VertexSet, bits_of, mask_of
@@ -62,6 +63,25 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def _plus_edge(self, u: int, v: int) -> "Graph":
+        """This graph with the edge ``uv`` added; ``v == n`` adds a new
+        vertex.  The rows of ``self`` were checked when it was built, so only
+        the new pair is."""
+        if not (0 <= u < self.n and 0 <= v <= self.n and u != v):
+            raise GraphFormatError(f"bad edge {u}-{v} for n={self.n}")
+        n = self.n + (v == self.n)
+        if n > MAX_VERTICES:
+            raise GraphFormatError(f"graph too large: n={n} > {MAX_VERTICES}")
+        adj = list(self.adj) + [0] * (n - self.n)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        g = object.__new__(Graph)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", tuple(adj))
+        object.__setattr__(g, "labels", None)
+        object.__setattr__(g, "_hash", hash((n, tuple(adj))))
+        return g
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -178,8 +198,13 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]], labels=None) -> Gra
 @dataclass(frozen=True)
 class Metrics:
     connected: bool
-    girth: object  # int or ACYCLIC
-    _ecc: Optional[tuple[int, ...]] = None
+    _ecc: Optional[tuple[int, ...]]
+    _graph: Graph = field(repr=False)
+
+    @cached_property
+    def girth(self):
+        """Shortest cycle length, or ``ACYCLIC``; computed on first read."""
+        return _girth(self._graph)
 
     def _require_connected(self):
         if not self.connected:
@@ -228,12 +253,13 @@ def _girth(g: Graph):
 
 
 def metrics(g: Graph) -> Metrics:
-    """Exact eccentricities, radius, diameter and girth via BFS."""
+    """Exact eccentricities, radius and diameter via BFS; the girth is
+    computed when first read."""
     connected = g.is_connected()
     ecc = None
     if connected:
         ecc = tuple(max(g.bfs_distances(v)) for v in range(g.n))
-    return Metrics(connected=connected, girth=_girth(g), _ecc=ecc)
+    return Metrics(connected, ecc, g)
 
 
 # -- structural queries ------------------------------------------------
@@ -245,9 +271,6 @@ class StructureReport:
     supports: VertexSet
     full_vertices: VertexSet
     leaf_map: dict  # support vertex -> VertexSet of its leaves
-
-    def leaf_count(self, support: int) -> int:
-        return len(self.leaf_map[support])
 
 
 def structure(g: Graph) -> StructureReport:

@@ -91,6 +91,13 @@ def canonical_hash(g: Graph) -> int:
     The int packs the canonically relabelled adjacency rows, row ``i`` at
     bits ``i*n .. i*n + n - 1``, with ``n`` above them.
     """
+    return _canonical_form(g)[0]
+
+
+def _canonical_form(g: Graph) -> tuple:
+    """``(canonical_hash(g), auts)``: ``auts`` lists the automorphisms the
+    search found, each as the list of vertex images.  They need not generate
+    the whole automorphism group: twin branches are skipped without one."""
     n, adj = g.n, g.adj
     nbrs = list(map(_members, adj))
     leaves: dict[int, tuple] = {}  # certificate -> (path, colours) of its first leaf
@@ -155,7 +162,7 @@ def canonical_hash(g: Graph) -> int:
     degrees = [len(vs) for vs in nbrs]
     rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
     search(*_refine(nbrs, [rank[d] for d in degrees], len(rank)), [])
-    return min(leaves)
+    return min(leaves), auts
 
 
 def _root(parent: list, x: int) -> int:
@@ -171,17 +178,20 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 class IsoDedup:
     """Collects graphs up to isomorphism by their canonical certificates;
-    ``graphs`` keeps the first graph of each class, in the order added."""
+    ``graphs`` keeps the first graph of each class, in the order added, and
+    ``automorphisms`` the automorphisms its certificate search found."""
 
     def __init__(self):
         self._seen: set[int] = set()
         self.graphs: list[Graph] = []
+        self.automorphisms: list[list] = []
 
     def add(self, g: Graph) -> bool:
         """Add if new up to isomorphism; returns True when kept."""
-        key = canonical_hash(g)
+        key, auts = _canonical_form(g)
         if key in self._seen:
             return False
         self._seen.add(key)
         self.graphs.append(g)
+        self.automorphisms.append(auts)
         return True

@@ -1,6 +1,8 @@
 """Family generators, closed forms, proof partitions, enumerators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcoalition import (
     InvalidParamsError,
@@ -11,6 +13,7 @@ from gcoalition import (
     are_isomorphic,
     closed_form_gc,
     enumerate_unicyclic,
+    from_edge_list,
     generate,
     girth_at_least_6_graphs,
     is_T1_or_T2,
@@ -22,7 +25,13 @@ from gcoalition import (
     spec,
     verify_partition,
 )
-from gcoalition.families import UNICYCLIC_SHAPES, LowerBound, connected_graphs, enumerate_trees
+from gcoalition.families import (
+    UNICYCLIC_SHAPES,
+    LowerBound,
+    _pendant_radii,
+    connected_graphs,
+    enumerate_trees,
+)
 
 from .reference import reference_chord_levels, reference_pendant_growth
 
@@ -222,6 +231,29 @@ class TestEnumerators:
                  for g in reference_pendant_growth(generate(spec("cycle", cl)), 10, None)]
         want = reference_chord_levels(seeds)
         assert [g.adj for g in girth_at_least_6_graphs(10)] == [g.adj for g in want]
+
+    # the largest calls of the enumerate_iso benchmark
+    @pytest.mark.parametrize("cap", [2, None])
+    def test_unicyclic_matches_reference_at_n10(self, cap):
+        want = reference_pendant_growth(generate(spec("cycle", 3)), 10, cap)
+        assert [g.adj for g in enumerate_unicyclic(3, 10, radius_cap=cap)] == [g.adj for g in want]
+
+    def test_girth6_matches_reference_at_n11(self):
+        seeds = [g for cl in range(6, 12)
+                 for g in reference_pendant_growth(generate(spec("cycle", cl)), 11, None)]
+        want = reference_chord_levels(seeds)
+        assert [g.adj for g in girth_at_least_6_graphs(11)] == [g.adj for g in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_pendant_radii_match_metrics(self, n, data):
+        # a random tree plus random extra edges: any connected graph
+        edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        if pairs:
+            edges += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
+        g = from_edge_list(n, edges)
+        assert _pendant_radii(g) == [metrics(g._plus_edge(v, n)).radius for v in range(n)]
 
     def test_unicyclic_counts(self):
         counts = {}

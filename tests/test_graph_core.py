@@ -29,9 +29,9 @@ from gcoalition import (
     to_edge_list,
     to_graph6,
 )
-from gcoalition.families import generate, spec
+from gcoalition.families import _symmetries, generate, spec
 from gcoalition.graph import Diam4, DoubleStarClass, PathFour, RadiusAtLeast3, Star
-from gcoalition.iso import IsoDedup
+from gcoalition.iso import IsoDedup, _canonical_form
 
 from .reference import is_isomorphic, reference_certificate
 
@@ -63,6 +63,27 @@ def random_cubic(rnd, n):
         edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
         if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
             return from_edge_list(n, sorted(edges))
+
+
+# Graphs closed under a random permutation, found by a random search, on
+# which abandoning a branch above the node where two equal leaves part loses
+# the least leaf.
+SYMMETRIC_G6 = ["I}p|[ildo", "J\\t}n~j~~~_", "Jvvj~||l~V_", "J~n|~~}|^{_"]
+
+
+def assert_sound_form(g):
+    """``_canonical_form`` gives ``canonical_hash``'s certificate, and every
+    permutation the enumerators skip by (the found automorphisms, then the
+    twin swaps) maps edges onto edges: a child is skipped when one of them
+    maps it onto an earlier child, which is sound only if both hold."""
+    cert, auts = _canonical_form(g)
+    assert cert == canonical_hash(g)
+    edges = set(g.edges())
+    gens = _symmetries(g, auts)
+    assert gens[:len(auts)] == auts
+    for gamma in gens:
+        assert sorted(gamma) == list(range(g.n))
+        assert {tuple(sorted((gamma[u], gamma[v]))) for u, v in edges} == edges
 
 
 @st.composite
@@ -114,6 +135,14 @@ class TestConstruction:
         g = complete(4)
         assert g.full_vertices().indices() == [0, 1, 2, 3]
         assert path(4).full_vertices().indices() == []
+
+    def test_plus_edge(self):
+        g = path(3)
+        assert g._plus_edge(2, 3) == path(4)
+        assert g._plus_edge(0, 2) == cycle(3)
+        for u, v in ((1, 1), (0, 4), (3, 0)):
+            with pytest.raises(GraphFormatError):
+                g._plus_edge(u, v)
 
 
 class TestComplement:
@@ -290,15 +319,15 @@ class TestIsomorphism:
     def test_certificate_equals_reference(self, g):
         # the pruned search must return the very int the unpruned one does
         assert canonical_hash(g) == reference_certificate(g)
+        assert_sound_form(g)
 
-    # Graphs closed under a random permutation, found by a random search, on
-    # which abandoning a branch above the node where two equal leaves part
-    # loses the least leaf.
-    @pytest.mark.parametrize("text", ["I}p|[ildo", "J\\t}n~j~~~_", "Jvvj~||l~V_", "J~n|~~}|^{_"])
+    @pytest.mark.parametrize("text", SYMMETRIC_G6)
     def test_certificate_equals_reference_on_symmetric_graphs(self, text):
         g = from_graph6(text)
         assert canonical_hash(g) == reference_certificate(g)
         assert canonical_hash(relabel(g, random.Random(text))) == reference_certificate(g)
+        assert_sound_form(g)
+        assert_sound_form(relabel(g, random.Random(text)))
 
     def test_spider_legs(self):
         # 8 interchangeable legs of length 2: k! leaves without orbit pruning
