@@ -79,17 +79,6 @@ class VertexSet:
         self._check(other)
         return VertexSet(self.bits & ~other.bits, self.universe)
 
-    def isdisjoint(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return not self.bits & other.bits
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return not self.bits & ~other.bits
-
-    def without_vertex(self, v: int) -> "VertexSet":
-        return VertexSet(self.bits & ~(1 << v), self.universe)
-
     def complement(self) -> "VertexSet":
         return VertexSet((1 << self.universe) - 1 ^ self.bits, self.universe)
 

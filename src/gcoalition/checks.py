@@ -16,8 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .coalition import count_gc_partners, gc_partner_bound, verify_partition
@@ -334,10 +333,6 @@ def run_all(max_n: Optional[int] = None, budget: Optional[int] = None):
     for name in sorted(REGISTRY):
         rows.extend(check_theorem(name, max_n=max_n, budget=budget))
     return rows
-
-
-def rows_to_json(rows) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True)
 
 
 def rows_to_csv(rows) -> str:

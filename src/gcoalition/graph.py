@@ -132,12 +132,6 @@ class Graph:
 
     # -- complement ----------------------------------------------------
 
-    def complement_neighborhood(self, v: int) -> VertexSet:
-        """Neighborhood of ``v`` in the complement, without materializing it."""
-        if not 0 <= v < self.n:
-            raise GraphFormatError(f"vertex {v} out of range")
-        return VertexSet(self.full_mask & ~(self.adj[v] | 1 << v), self.n)
-
     def complement(self) -> "Graph":
         full = self.full_mask
         return Graph(self.n, [full & ~(self.adj[v] | 1 << v) for v in range(self.n)], self.labels)

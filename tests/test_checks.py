@@ -2,7 +2,6 @@
 
 import csv
 import io
-import json
 
 import pytest
 
@@ -76,12 +75,6 @@ class TestReports:
         parsed = list(csv.reader(io.StringIO(text)))
         assert parsed[0] == ["check", "instance", "expected", "actual", "status", "detail"]
         assert len(parsed) == len(rows) + 1
-
-    def test_json_round_trip(self):
-        rows = checks.check_theorem("gc_complete", max_n=5)
-        data = json.loads(checks.rows_to_json(rows))
-        assert len(data) == len(rows)
-        assert data[0]["status"] == "pass"
 
     def test_worst_status_ordering(self):
         mk = lambda s: checks.CheckRow("x", "i", "e", "a", s)

@@ -201,9 +201,11 @@ class TestDeterminism:
         ["compute", "--kind", "gc", "--graph", "cycle:9"],
         ["compute", "--kind", "prc", "--graph", "path:7"],
         ["check", "--theorem", "gc_paths", "--max-n", "8", "--format", "json"],
+        ["enumerate", "--what", "girth6", "--max-n", "9", "--format", "json"],
+        ["enumerate", "--what", "trees", "--max-n", "9"],
     ]
 
-    @pytest.mark.parametrize("argv", CASES, ids=["gc", "prc", "check"])
+    @pytest.mark.parametrize("argv", CASES, ids=["gc", "prc", "check", "girth6", "trees"])
     def test_threads_do_not_change_output(self, argv):
         outs = {run(argv + ["--threads", str(t)])[1] for t in (1, 8)}
         assert len(outs) == 1  # bytewise identical

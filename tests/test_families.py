@@ -28,12 +28,65 @@ from gcoalition import (
 from gcoalition.families import (
     UNICYCLIC_SHAPES,
     LowerBound,
+    _edge_key,
+    _greatest,
+    _is_cycle_edge,
+    _is_non_cut,
+    _leaf_supports,
     _pendant_radii,
+    _vertex_key,
     connected_graphs,
     enumerate_trees,
 )
 
-from .reference import reference_chord_levels, reference_pendant_growth
+from .reference import (
+    reference_certificate,
+    reference_chord_levels,
+    reference_pendant_growth,
+)
+
+
+def _same_classes(got, want, level=lambda g: g.n):
+    """``got`` holds one graph of each class of ``want``, and ``level``
+    (the order, or the chord count of a girth >= 6 graph) never decreases
+    along it."""
+    got = list(got)
+    certs = [reference_certificate(g) for g in got]
+    assert len(set(certs)) == len(certs)  # no class repeats
+    assert sorted(certs) == sorted(reference_certificate(g) for g in want)
+    levels = list(map(level, got))
+    assert levels == sorted(levels)
+
+
+def _chords(g):
+    return g.edge_count() - g.n
+
+
+def _random_connected(n, data):
+    """A random tree plus random extra edges: any connected graph."""
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
+    return from_edge_list(n, edges)
+
+
+def _filter_winners(g):
+    """The leaves, edges and vertices of ``g`` that the growth filters may
+    delete and that have the greatest key of their kind."""
+    adj, vertices, edges = list(g.adj), range(g.n), g.edges()
+    supports = _leaf_supports(adj)
+    top = {s for s in supports if _greatest(adj, s, supports - {s}, _vertex_key)}
+    leaves = {x for x in vertices if g.degree(x) == 1 and adj[x].bit_length() - 1 in top}
+    cycle_edges = [e for e in edges if _is_cycle_edge(adj, e)]
+    edges = {e for e in cycle_edges
+             if _greatest(adj, e, [f for f in edges if f != e], _edge_key,
+                          lambda f: _is_cycle_edge(adj, f))}
+    non_cut = [v for v in vertices if _is_non_cut(adj, v)]
+    vertices = {v for v in non_cut
+                if _greatest(adj, v, [w for w in vertices if w != v], _vertex_key,
+                             lambda w: _is_non_cut(adj, w))}
+    return leaves, edges, vertices, set(cycle_edges), set(non_cut)
 
 
 class TestSpecs:
@@ -214,45 +267,38 @@ class TestEnumerators:
         assert counts == {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
                           9: 47, 10: 106, 11: 235, 12: 551, 13: 1301}
 
-    # The twin-skipping enumerators must keep the very graphs, in the very
-    # order, that trying every pendant vertex and every chord keeps.
+    # The filtered enumerators must keep one graph of each class that trying
+    # every pendant vertex and every chord keeps.
     @pytest.mark.parametrize("cap", [2, None])
     @pytest.mark.parametrize("cl", [3, 4, 5, 6])
     def test_unicyclic_matches_reference(self, cl, cap):
         want = reference_pendant_growth(generate(spec("cycle", cl)), 9, cap)
-        assert [g.adj for g in enumerate_unicyclic(cl, 9, radius_cap=cap)] == [g.adj for g in want]
+        _same_classes(enumerate_unicyclic(cl, 9, radius_cap=cap), want)
 
     def test_trees_match_reference(self):
         want = reference_pendant_growth(generate(spec("path", 1)), 10, None)
-        assert [g.adj for g in enumerate_trees(10)] == [g.adj for g in want]
+        _same_classes(enumerate_trees(10), want)
 
     def test_girth6_matches_reference(self):
         seeds = [g for cl in range(6, 11)
                  for g in reference_pendant_growth(generate(spec("cycle", cl)), 10, None)]
-        want = reference_chord_levels(seeds)
-        assert [g.adj for g in girth_at_least_6_graphs(10)] == [g.adj for g in want]
+        _same_classes(girth_at_least_6_graphs(10), reference_chord_levels(seeds), _chords)
 
     # the largest calls of the enumerate_iso benchmark
     @pytest.mark.parametrize("cap", [2, None])
     def test_unicyclic_matches_reference_at_n10(self, cap):
         want = reference_pendant_growth(generate(spec("cycle", 3)), 10, cap)
-        assert [g.adj for g in enumerate_unicyclic(3, 10, radius_cap=cap)] == [g.adj for g in want]
+        _same_classes(enumerate_unicyclic(3, 10, radius_cap=cap), want)
 
     def test_girth6_matches_reference_at_n11(self):
         seeds = [g for cl in range(6, 12)
                  for g in reference_pendant_growth(generate(spec("cycle", cl)), 11, None)]
-        want = reference_chord_levels(seeds)
-        assert [g.adj for g in girth_at_least_6_graphs(11)] == [g.adj for g in want]
+        _same_classes(girth_at_least_6_graphs(11), reference_chord_levels(seeds), _chords)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 9), st.data())
     def test_pendant_radii_match_metrics(self, n, data):
-        # a random tree plus random extra edges: any connected graph
-        edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        if pairs:
-            edges += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
-        g = from_edge_list(n, edges)
+        g = _random_connected(n, data)
         assert _pendant_radii(g) == [metrics(g._plus_edge(v, n)).radius for v in range(n)]
 
     def test_unicyclic_counts(self):
@@ -263,8 +309,30 @@ class TestEnumerators:
         # OEIS A001429, connected unicyclic graphs on n nodes
         assert counts == {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
 
-    def test_connected_counts(self):
-        assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+    def test_connected_counts(self, corpus8):
+        # OEIS A001349, connected graphs on n nodes
+        counts = [len(connected_graphs(n)) for n in range(1, 8)] + [len(corpus8)]
+        assert counts == [1, 1, 2, 6, 21, 112, 853, 11117]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.data())
+    def test_filter_winners_are_invariant(self, n, data):
+        # a relabelling maps the winners of each growth filter onto the
+        # relabelled graph's winners: the keys read no vertex index
+        g = _random_connected(n, data)
+        perm = data.draw(st.permutations(range(n)))
+        h = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        leaves, edges, vertices, cycle_edges, non_cut = _filter_winners(g)
+        moved = lambda es: {tuple(sorted((perm[u], perm[v]))) for u, v in es}
+        assert _filter_winners(h) == ({perm[x] for x in leaves}, moved(edges),
+                                      {perm[v] for v in vertices}, moved(cycle_edges),
+                                      {perm[v] for v in non_cut})
+        # what the filters may delete, against deleting it
+        es = g.edges()
+        assert cycle_edges == {e for e in es
+                               if from_edge_list(n, [f for f in es if f != e]).is_connected()}
+        assert non_cut == {v for v in range(n) if n == 1 or from_edge_list(
+            n - 1, [(a - (a > v), b - (b > v)) for a, b in es if v not in (a, b)]).is_connected()}
 
     def test_girth6_corpus(self):
         graphs = girth_at_least_6_graphs(8)
