@@ -21,7 +21,7 @@ from .errors import (
     NoKnownFormulaError,
 )
 from .graph import Graph, from_edge_list, metrics
-from .iso import IsoDedup, _canonical_form, _members
+from .iso import IsoDedup, _members
 
 # The INFERRED unicyclic shapes, reconstructed from their closed forms and
 # witness constructions with no authoritative diagram available:
@@ -537,11 +537,15 @@ def _pendant_radii(g: Graph) -> list:
 # those of any isomorphic graph; each enumerator's docstring shows from
 # this that no class is lost.  The filter only removes duplicates, and the
 # dedup stays, so correctness never depends on the found automorphisms
-# generating the whole group.
-
-# On the enumerator calls of one enumerate_iso benchmark round, the filter
-# passes 4247 children with two tiers, 4006 with three and 3979 with four,
-# of which 3953 are new.
+# generating the whole group.  The pendant and chord growths run the
+# first, degree tier on the parent already (``_pendant_points``,
+# ``_chord_points``), before any child is built.
+#
+# On the enumerator calls of one enumerate_iso benchmark round, the growths
+# build 5646 children, 11198 without the parent-side tier; the filter
+# passes 4247 of them with two tiers, 4006 with three and 3979 with four,
+# of which 3953 are new.  The growths run 1941 certificate searches, where
+# certifying every child that passes took 4057.
 _TIERS = 3
 
 
@@ -615,9 +619,50 @@ def _is_non_cut(adj: list, v: int) -> bool:
     return not rest or _closure(adj, 1 << v, rest & -rest) == full
 
 
-def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[tuple]:
+def _pendant_points(adj: list) -> list:
+    """The vertices ``v`` of a parent, in order and as the 1-tuples
+    ``_orbit_leaders`` takes, whose pendant child passes ``_greatest``'s
+    first tier: no leaf ``x != v`` has a support ``s != v`` with
+    ``deg(s) > deg(v) + 1``.  Those are the child's rival supports with
+    their child degrees, against the new leaf's support ``v``."""
+    deg = [row.bit_count() for row in adj]
+    leaves = [(x, row.bit_length() - 1) for x, row in enumerate(adj) if deg[x] == 1]
+    return [(v,) for v in range(len(adj))
+            if not any(deg[s] > deg[v] + 1 and v != x and v != s for x, s in leaves)]
+
+
+def _chord_points(adj: list, edges: list, pairs: list) -> list:
+    """The ``pairs`` ``(u, v)`` of a parent, in order, whose chord child may
+    pass ``_greatest``'s first tier: no cycle edge of the parent has a
+    sorted degree pair above ``sorted(deg(u) + 1, deg(v) + 1)``.  Degrees
+    only grow in the child and a cycle edge stays one, so such an edge beats
+    the new chord there too."""
+    deg = [row.bit_count() for row in adj]
+    keys = sorted(((_edge_key(deg, e), e) for e in edges), reverse=True)
+    top = next((k for k, e in keys if _is_cycle_edge(adj, e)), None)
+    if top is None:
+        return pairs
+    plus = [d + 1 for d in deg]
+    return [p for p in pairs if _edge_key(plus, p) >= top]
+
+
+def _leaders(dedup: IsoDedup, i: int, points: list) -> list:
+    """``_orbit_leaders`` of ``points`` under the ``_symmetries`` of
+    ``dedup.graphs[i]``.  Automorphisms keep the root colours, so points
+    whose sorted colours differ lie in different orbits: when no two points
+    share them, each point leads its orbit and the automorphisms are never
+    searched for."""
+    colors = dedup.root_colors(i)
+    if len({tuple(sorted(map(colors.__getitem__, p))) for p in points}) == len(points):
+        return points
+    return _orbit_leaders(points, _symmetries(dedup.graphs[i], dedup.automorphisms(i)))
+
+
+def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Iterator[IsoDedup]:
     """``base`` and every graph grown from it by pendant vertices, orders up
-    to ``max_n``, up to isomorphism, each as ``(graph, automorphisms)``.
+    to ``max_n``, up to isomorphism, as one ``IsoDedup`` per level: its
+    ``graphs`` are the level's graphs, and it gives their root colourings
+    and automorphisms.
 
     Pendant vertices are attached level by level, to a cycle or to ``K1``.
     A parent gets one child per orbit of its vertices, at the orbit's first
@@ -633,30 +678,40 @@ def _pendant_growth(base: Graph, max_n: int, radius_cap: Optional[int]) -> Itera
     filter prunes during generation (radius never decreases under pendant
     addition), reading each child's radius off its parent
     (``_pendant_radii``).
+
+    The radius filter and the degree tier (``_pendant_points``) run on the
+    parent, before its orbits: both read only degrees, leaves and distances,
+    which automorphisms keep, so the vertices they keep are a union of
+    orbits, closed under the generators, and have the same orbit leaders in
+    the same order.  A parent is searched for automorphisms only when two of
+    the vertices left share a root colour (``_leaders``).
     """
     if base.n > max_n or (radius_cap is not None and metrics(base).radius > radius_cap):
         return
-    level = [(base, _canonical_form(base)[1])]
-    yield from level
-    while level and level[0][0].n < max_n:
+    level = IsoDedup()
+    level.add(base)
+    while level.graphs:
+        yield level
+        if level.graphs[0].n == max_n:
+            return
         dedup = IsoDedup()
-        for g, auts in level:
-            radii = _pendant_radii(g) if radius_cap is not None else None
-            for (v,) in _orbit_leaders([(v,) for v in range(g.n)], _symmetries(g, auts)):
-                if radii is not None and radii[v] > radius_cap:
-                    continue
+        for i, g in enumerate(level.graphs):
+            points = _pendant_points(g.adj)
+            if radius_cap is not None:
+                radii = _pendant_radii(g)
+                points = [(v,) for v, in points if radii[v] <= radius_cap]
+            for (v,) in _leaders(level, i, points):
                 child = g._plus_edge(v, g.n)
                 if _greatest(child.adj, v, _leaf_supports(child.adj) - {v}, _vertex_key):
                     dedup.add(child)
-        level = list(zip(dedup.graphs, dedup.automorphisms))
-        yield from level
+        level = dedup
 
 
 def enumerate_trees(max_n: int) -> Iterator[Graph]:
     """All free trees up to isomorphism, orders 1..max_n, by pendant growth
     from ``K1``."""
-    for g, _ in _pendant_growth(from_edge_list(1, []), max_n, None):
-        yield g
+    for level in _pendant_growth(from_edge_list(1, []), max_n, None):
+        yield from level.graphs
 
 
 def enumerate_unicyclic(
@@ -665,8 +720,8 @@ def enumerate_unicyclic(
     """Connected unicyclic graphs with the given cycle length, up to iso,
     by pendant growth from the cycle."""
     if cycle_len >= 3:
-        for g, _ in _pendant_growth(generate(spec("cycle", cycle_len)), max_n, radius_cap):
-            yield g
+        for level in _pendant_growth(generate(spec("cycle", cycle_len)), max_n, radius_cap):
+            yield from level.graphs
 
 
 _CONNECTED_CACHE: dict[int, list] = {}
@@ -732,31 +787,41 @@ def girth_at_least_6_graphs(max_n: int) -> list:
     pairwise non-isomorphic already (one cycle length per growth), and a
     graph with ``k`` chords has ``n + k`` edges, so each chord level is
     deduplicated on its own.  A parent gets one chord per orbit of its far
-    pairs under the automorphisms found for it, by its growth or its level's
-    dedup, and its twin swaps (``_symmetries``), at the orbit's first pair:
-    automorphisms keep distances, so a skipped chord gives a graph
-    isomorphic to an earlier chord's of the same parent.  A child reaches
-    the dedup only if its new edge has the greatest key (the sorted pair of
-    its endpoints' keys, ``_greatest``) among its non-bridge edges.  No
-    class is lost: deleting a non-bridge edge of greatest key from a graph
-    ``G`` with ``k >= 1`` chords leaves a connected graph with ``k - 1``
-    chords, so still with a cycle, and with girth >= 6; the edge lay on a
-    cycle of length >= 6, so its endpoints are at distance >= 5 there.  The
-    kept representative of that graph offers a chord child isomorphic to
-    ``G`` whose new edge has that greatest key.
+    pairs under the automorphisms its certificate search finds (run on a
+    collision in its dedup, or on request) and its twin swaps
+    (``_symmetries``), at the orbit's first pair: automorphisms keep
+    distances, so a skipped chord gives a graph isomorphic to an earlier
+    chord's of the same parent.  A child reaches the dedup only if its new
+    edge has the greatest key (the sorted pair of its endpoints' keys,
+    ``_greatest``) among its non-bridge edges.  No class is lost: deleting
+    a non-bridge edge of greatest key from a graph ``G`` with ``k >= 1``
+    chords leaves a connected graph with ``k - 1`` chords, so still with a
+    cycle, and with girth >= 6; the edge lay on a cycle of length >= 6, so
+    its endpoints are at distance >= 5 there.  The kept representative of
+    that graph offers a chord child isomorphic to ``G`` whose new edge has
+    that greatest key.
+
+    The degree tier runs on the parent first (``_chord_points``): it reads
+    only degrees and cycle edges, which automorphisms keep, so the far pairs
+    it keeps are a union of orbits, closed under the generators, and have
+    the same orbit leaders in the same order.  A parent is searched for
+    automorphisms only when two of the pairs left share sorted root colours
+    (``_leaders``).
     """
     graphs = []
-    frontier = [seed for cl in range(6, max_n + 1)
-                for seed in _pendant_growth(generate(spec("cycle", cl)), max_n, None)]
+    frontier = [(level, i) for cl in range(6, max_n + 1)
+                for level in _pendant_growth(generate(spec("cycle", cl)), max_n, None)
+                for i in range(len(level.graphs))]
     while frontier:
-        graphs += [g for g, _ in frontier]
         dedup = IsoDedup()
-        for g, auts in frontier:
+        for level, i in frontier:
+            g = level.graphs[i]
+            graphs.append(g)
             edges = g.edges()
-            for u, v in _orbit_leaders(_far_pairs(g), _symmetries(g, auts)):
+            for u, v in _leaders(level, i, _chord_points(g.adj, edges, _far_pairs(g))):
                 child = g._plus_edge(u, v)
                 if _greatest(child.adj, (u, v), edges, _edge_key,
                              lambda e: _is_cycle_edge(child.adj, e)):
                     dedup.add(child)
-        frontier = list(zip(dedup.graphs, dedup.automorphisms))
+        frontier = [(dedup, i) for i in range(len(dedup.graphs))]
     return graphs

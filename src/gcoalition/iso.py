@@ -35,6 +35,14 @@ subtrees, each a copy of one already searched, so the least leaf survives:
 A pruned subtree has the same least leaf as the whole subtree, so the
 arguments nest.  The legs of a spider, interchangeable but not twins, then
 cost about one extra leaf per leg instead of k! leaves.
+
+The search is the cost; the root refinement before it is cheap and already
+an invariant.  ``are_isomorphic`` and ``IsoDedup`` compare the roots'
+invariants first and search only the graphs they cannot tell apart.
+``IsoDedup`` keeps the rest unsearched until ``IsoDedup.automorphisms`` asks
+for one of them; that is a method, so a search runs only where its result
+is read, and ``IsoDedup.root_colors`` gives the root colouring, which
+automorphisms keep, without a search.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ def _members(row: int) -> tuple:
 
 def _refine(nbrs, colors: list, count: int) -> tuple:
     """The stable refinement of the dense colouring ``colors`` with
-    ``count`` colours, as ``(colors, count)``.
+    ``count`` colours, as ``(colors, count, quotient)``.
 
     Each pass gives every vertex the rank of its signature (colour, sorted
     neighbour colours).  A strictly increasing relabelling of the colours
@@ -65,9 +73,12 @@ def _refine(nbrs, colors: list, count: int) -> tuple:
     alone in its colour is ordered by that colour alone, so its signature
     leaves the neighbour colours out.  A pass that adds no colour maps a
     dense colouring to itself, so the loop stops there, and at once when
-    the colouring is discrete.
+    the colouring is discrete.  ``quotient`` is None for a discrete result,
+    else that last pass's cell sizes and sorted distinct signatures: ranks
+    are isomorphism-invariant, so it is too.
     """
     n = len(nbrs)
+    quotient = None
     while count < n:
         get = colors.__getitem__
         sizes = [0] * count
@@ -77,11 +88,23 @@ def _refine(nbrs, colors: list, count: int) -> tuple:
                 for c, vs in zip(colors, nbrs)]
         distinct = sorted(set(sigs))
         if len(distinct) == count:
+            quotient = sizes, distinct
             break
         rank = {sig: i for i, sig in enumerate(distinct)}
         colors = [rank[sig] for sig in sigs]
         count = len(distinct)
-    return colors, count
+    return colors, count, quotient
+
+
+def _leaf(nbrs, colors: list) -> int:
+    """The certificate of a discrete colouring: the adjacency relabelled by
+    it, row ``i`` at bits ``i*n .. i*n + n - 1``, with ``n`` above them."""
+    n = len(nbrs)
+    bit = [1 << c for c in colors]
+    cert = n << (n * n)
+    for v, vs in enumerate(nbrs):
+        cert |= sum(map(bit.__getitem__, vs)) << (n * colors[v])
+    return cert
 
 
 def canonical_hash(g: Graph) -> int:
@@ -94,12 +117,33 @@ def canonical_hash(g: Graph) -> int:
     return _canonical_form(g)[0]
 
 
+def _refined_root(g: Graph) -> tuple:
+    """The root of ``g``'s search, ``(nbrs, colors, count, quotient)``: the
+    stable refinement of the degree ranks, and an isomorphism invariant of
+    ``g`` that tells most non-isomorphic graphs of one order apart.  It is
+    the refinement's ``quotient``, or for a discrete root the certificate
+    itself, which that root's one leaf gives."""
+    nbrs = list(map(_members, g.adj))
+    degrees = [len(vs) for vs in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
+    colors, count, quotient = _refine(nbrs, [rank[d] for d in degrees], len(rank))
+    if quotient is None:
+        return nbrs, colors, count, _leaf(nbrs, colors)
+    sizes, distinct = quotient
+    return nbrs, colors, count, (tuple(sizes), tuple(distinct))
+
+
 def _canonical_form(g: Graph) -> tuple:
     """``(canonical_hash(g), auts)``: ``auts`` lists the automorphisms the
     search found, each as the list of vertex images.  They need not generate
     the whole automorphism group: twin branches are skipped without one."""
-    n, adj = g.n, g.adj
-    nbrs = list(map(_members, adj))
+    return _search(g.adj, *_refined_root(g)[:3])
+
+
+def _search(adj: list, nbrs: list, colors: list, count: int) -> tuple:
+    """``_canonical_form`` of the graph with adjacency rows ``adj``, searched
+    from its refined root ``colors``."""
+    n = len(adj)
     leaves: dict[int, tuple] = {}  # certificate -> (path, colours) of its first leaf
     auts: list[list[int]] = []
 
@@ -107,11 +151,7 @@ def _canonical_form(g: Graph) -> tuple:
         """Searches below the node individualising ``path``; returns None, or
         the depth whose current branch is to be abandoned."""
         if count == n:
-            bit = [1 << c for c in colors]
-            cert = n << (n * n)
-            for v, vs in enumerate(nbrs):
-                cert |= sum(map(bit.__getitem__, vs)) << (n * colors[v])
-            first = leaves.setdefault(cert, (path, colors))
+            first = leaves.setdefault(_leaf(nbrs, colors), (path, colors))
             if first[0] is path:
                 return None
             other, theirs = first
@@ -154,14 +194,12 @@ def _canonical_form(g: Graph) -> tuple:
             # later colour up one: dense, in the order of (colour, u != v)
             child = shifted.copy()
             child[v] = t
-            depth = search(*_refine(nbrs, child, count + 1), path + [v])
+            depth = search(*_refine(nbrs, child, count + 1)[:2], path + [v])
             if depth is not None and depth < len(path):
                 return depth
         return None
 
-    degrees = [len(vs) for vs in nbrs]
-    rank = {d: i for i, d in enumerate(sorted(set(degrees)))}
-    search(*_refine(nbrs, [rank[d] for d in degrees], len(rank)), [])
+    search(colors, count, [])
     return min(leaves), auts
 
 
@@ -172,26 +210,71 @@ def _root(parent: list, x: int) -> int:
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test: a comparison of canonical certificates."""
-    return canonical_hash(g1) == canonical_hash(g2)
+    """Exact isomorphism test: orders and root invariants first, then a
+    comparison of canonical certificates."""
+    if g1.n != g2.n:
+        return False
+    root1, root2 = _refined_root(g1), _refined_root(g2)
+    if root1[3] != root2[3]:
+        return False
+    return _search(g1.adj, *root1[:3])[0] == _search(g2.adj, *root2[:3])[0]
 
 
 class IsoDedup:
-    """Collects graphs up to isomorphism by their canonical certificates;
-    ``graphs`` keeps the first graph of each class, in the order added, and
-    ``automorphisms`` the automorphisms its certificate search found."""
+    """Collects graphs up to isomorphism; ``graphs`` keeps the first graph
+    of each class, in the order added, and ``automorphisms(i)`` gives the
+    automorphisms that the certificate search of ``graphs[i]`` finds.
+
+    Certificates are computed lazily.  ``add`` buckets graphs by order and
+    root invariant (``_refined_root``): a graph alone in its bucket differs
+    from every graph kept so far, so it is kept unsearched.  Once a bucket
+    holds two graphs, its graphs are compared by full certificates, each
+    searched from its stored root.  ``automorphisms(i)`` runs the search of
+    ``graphs[i]`` if no collision has yet, and ``root_colors(i)`` gives the
+    root colouring, which bounds the orbits without a search.
+    """
 
     def __init__(self):
-        self._seen: set[int] = set()
+        # (n, invariant) -> the index of its one kept graph, or, after a
+        # collision, the certificates of all its kept graphs
+        self._buckets: dict = {}
+        self._roots: list = []  # i -> the search root of graphs[i]
+        self._forms: list = []  # i -> (certificate, auts) once searched, else None
         self.graphs: list[Graph] = []
-        self.automorphisms: list[list] = []
 
     def add(self, g: Graph) -> bool:
         """Add if new up to isomorphism; returns True when kept."""
-        key, auts = _canonical_form(g)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
+        root = _refined_root(g)
+        key = (g.n, root[3])
+        held = self._buckets.get(key)
+        if held is None:
+            self._buckets[key] = len(self.graphs)
+            form = None
+        else:
+            form = _search(g.adj, *root[:3])
+            if type(held) is int:
+                held = self._buckets[key] = {self._form(held)[0]}
+            if form[0] in held:
+                return False
+            held.add(form[0])
         self.graphs.append(g)
-        self.automorphisms.append(auts)
+        self._roots.append(root[:3])
+        self._forms.append(form)
         return True
+
+    def root_colors(self, i: int) -> list:
+        """The stable refinement of ``graphs[i]``'s degree ranks, a colour
+        per vertex.  Refinement is isomorphism-invariant, so automorphisms
+        keep these colours."""
+        return self._roots[i][1]
+
+    def automorphisms(self, i: int) -> list:
+        """The automorphisms of ``graphs[i]`` that its certificate search
+        finds, as lists of vertex images (``_canonical_form``)."""
+        return self._form(i)[1]
+
+    def _form(self, i: int) -> tuple:
+        form = self._forms[i]
+        if form is None:
+            form = self._forms[i] = _search(self.graphs[i].adj, *self._roots[i])
+        return form

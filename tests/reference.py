@@ -4,10 +4,11 @@ Deliberately naive and structurally different from the package solver: plain
 Python sets instead of bitmasks, an explicit complement neighborhood, and a
 full Bell-number sweep over all set partitions via restricted-growth
 recursion, with no pruning beyond predicate memoization.  Isomorphism is
-decided by trying every vertex permutation.  ``reference_certificate`` is the
-package's canonical certificate computed with no automorphism pruning beyond
-twins and no shortcuts in refinement; the reference enumerators try every
-pendant vertex and every chord and deduplicate by that certificate.
+decided by trying every vertex permutation, and so is the automorphism
+group (``automorphisms``).  ``reference_certificate`` is the package's
+canonical certificate computed with no automorphism pruning beyond twins
+and no shortcuts in refinement; the reference enumerators try every pendant
+vertex and every chord and deduplicate by that certificate.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ def is_isomorphic(g1, g2) -> bool:
         all(frozenset(perm[u] for u in e) in edges2 for e in edges1)
         for perm in itertools.permutations(range(g1.n))
     )
+
+
+def automorphisms(g) -> list:
+    """Brute force: every vertex permutation that maps g's edges onto
+    g's edges, as lists of vertex images."""
+    edges = [frozenset(e) for e in g.edges()]
+    edge_set = set(edges)
+    return [list(perm) for perm in itertools.permutations(range(g.n))
+            if all(frozenset(perm[u] for u in e) in edge_set for e in edges)]
 
 
 def _reference_refine(nbrs, colors):

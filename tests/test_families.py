@@ -28,18 +28,26 @@ from gcoalition import (
 from gcoalition.families import (
     UNICYCLIC_SHAPES,
     LowerBound,
+    _chord_points,
     _edge_key,
+    _far_pairs,
     _greatest,
     _is_cycle_edge,
     _is_non_cut,
+    _leaders,
     _leaf_supports,
+    _orbit_leaders,
+    _pendant_points,
     _pendant_radii,
+    _symmetries,
     _vertex_key,
     connected_graphs,
     enumerate_trees,
 )
+from gcoalition.iso import IsoDedup, _canonical_form
 
 from .reference import (
+    automorphisms,
     reference_certificate,
     reference_chord_levels,
     reference_pendant_growth,
@@ -69,6 +77,51 @@ def _random_connected(n, data):
     if pairs:
         edges += data.draw(st.lists(st.sampled_from(pairs), max_size=n))
     return from_edge_list(n, edges)
+
+
+def _relabelled(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _orbits(points, perms):
+    """The orbits of the sorted vertex tuples ``points`` under the group
+    that the permutations ``perms`` generate, as a set of frozensets."""
+    orbits, seen = set(), set()
+    for p in points:
+        if p in seen:
+            continue
+        orbit, stack = {p}, [p]
+        while stack:
+            q = stack.pop()
+            for gamma in perms:
+                r = tuple(sorted(gamma[x] for x in q))
+                if r not in orbit:
+                    orbit.add(r)
+                    stack.append(r)
+        orbits.add(frozenset(orbit))
+        seen |= orbit
+    return orbits
+
+
+def _assert_orbits_match(g):
+    """``_symmetries`` gives the orbits of the whole automorphism group on
+    vertices, non-edges and far pairs, and every automorphism keeps the
+    root colours that ``_leaders`` reads.  The growths keep one point per
+    orbit of the group ``_symmetries`` generates: a permutation that is no
+    automorphism would merge orbits and lose classes, and a smaller group
+    would split them and cost duplicates that only the dedup removes."""
+    gens = _symmetries(g, _canonical_form(g)[1])
+    group = automorphisms(g)
+    dedup = IsoDedup()
+    dedup.add(g)
+    colors = dedup.root_colors(0)
+    assert all(colors[gamma[v]] == colors[v] for gamma in group for v in range(g.n))
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    for points in ([(v,) for v in range(g.n)], non_edges, _far_pairs(g)):
+        assert _orbits(points, gens) == _orbits(points, group)
+        # skipping the search when root colours part every point changes nothing
+        assert _leaders(dedup, 0, points) == _orbit_leaders(points, gens)
 
 
 def _filter_winners(g):
@@ -333,6 +386,53 @@ class TestEnumerators:
                                if from_edge_list(n, [f for f in es if f != e]).is_connected()}
         assert non_cut == {v for v in range(n) if n == 1 or from_edge_list(
             n - 1, [(a - (a > v), b - (b > v)) for a, b in es if v not in (a, b)]).is_connected()}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_orbits_match_brute_force(self, n):
+        for g in connected_graphs(n):
+            _assert_orbits_match(g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(7, 8), st.data())
+    def test_orbits_match_brute_force_sample(self, n, data):
+        _assert_orbits_match(_random_connected(n, data))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(("tree", "unicyclic", "girth6")), st.integers(1, 9), st.data())
+    def test_parent_degree_tier(self, kind, n, data):
+        # every pendant vertex or chord that the parent-side degree tier
+        # drops gives a child that _greatest rejects, and the kept points
+        # are closed under the parent's symmetries, so their leaders are
+        # those of all points, in the same order, less the dropped ones
+        if kind == "girth6":
+            g = _relabelled(data.draw(st.sampled_from(girth_at_least_6_graphs(9))), data)
+        else:
+            g = from_edge_list(n, [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)])
+            non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+            if kind == "unicyclic" and non_edges:
+                g = g._plus_edge(*data.draw(st.sampled_from(non_edges)))
+        n = g.n
+        gens = _symmetries(g, _canonical_form(g)[1])
+        dedup = IsoDedup()
+        dedup.add(g)
+
+        def same_leaders(points, kept):
+            assert all(tuple(sorted(gamma[x] for x in p)) in kept for p in kept for gamma in gens)
+            assert _leaders(dedup, 0, kept) == [p for p in _orbit_leaders(points, gens) if p in kept]
+
+        points = [(v,) for v in range(n)]
+        kept = _pendant_points(g.adj)
+        for (v,) in set(points) - set(kept):
+            child = g._plus_edge(v, n)
+            assert not _greatest(child.adj, v, _leaf_supports(child.adj) - {v}, _vertex_key)
+        same_leaders(points, kept)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+        kept = _chord_points(g.adj, g.edges(), pairs)
+        for p in set(pairs) - set(kept):
+            child = g._plus_edge(*p)
+            assert not _greatest(child.adj, p, g.edges(), _edge_key,
+                                 lambda e: _is_cycle_edge(child.adj, e))
+        same_leaders(pairs, kept)
 
     def test_girth6_corpus(self):
         graphs = girth_at_least_6_graphs(8)

@@ -31,7 +31,8 @@ from gcoalition import (
 )
 from gcoalition.families import _symmetries, generate, spec
 from gcoalition.graph import Diam4, DoubleStarClass, PathFour, RadiusAtLeast3, Star
-from gcoalition.iso import IsoDedup, _canonical_form
+from gcoalition import iso
+from gcoalition.iso import IsoDedup, _canonical_form, _refined_root
 
 from .reference import is_isomorphic, reference_certificate
 
@@ -63,6 +64,25 @@ def random_cubic(rnd, n):
         edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])}
         if len(edges) == 3 * n // 2 and all(a != b for a, b in edges):
             return from_edge_list(n, sorted(edges))
+
+
+def cube():
+    return from_edge_list(8, [(u, u | b) for u in range(8) for b in (1, 2, 4) if not u & b])
+
+
+def wagner():
+    """The Moebius ladder on 8 vertices: cubic like the cube, not bipartite."""
+    return from_edge_list(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+# Regular graphs of one order and degree: each pair has equal root
+# invariants, so telling it apart takes the certificates.
+REGULAR_POOL = [
+    cycle(6), from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+    from_edge_list(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
+    from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+    cycle(7), from_edge_list(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+]
 
 
 # Graphs closed under a random permutation, found by a random search, on
@@ -338,6 +358,80 @@ class TestIsomorphism:
         assert not dedup.add(from_edge_list(4, [(3, 1), (1, 0), (0, 2)]))
         assert dedup.add(cycle(4))
         assert len(dedup.graphs) == 2
+
+    def test_are_isomorphic_reads_the_invariant_first(self, monkeypatch):
+        # equal degree sequences; the degree-3 vertex sees two leaves in one
+        # graph and one in the other, which the root refinement tells apart
+        g1 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)])
+        g2 = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+        assert sorted(map(g1.degree, range(6))) == sorted(map(g2.degree, range(6)))
+        assert _refined_root(g1)[3] != _refined_root(g2)[3]
+
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(iso, "_search", no_search)
+        assert not are_isomorphic(g1, g2)
+        assert not are_isomorphic(g1, path(5))
+
+
+class TestLazyDedup:
+    def test_equal_invariants_fall_back_to_certificates(self):
+        a, b = cube(), wagner()
+        assert _refined_root(a)[3] == _refined_root(b)[3]
+        assert not are_isomorphic(a, b)
+        dedup = IsoDedup()
+        assert dedup.add(a) and dedup.add(b)
+        rnd = random.Random(8)
+        assert not dedup.add(relabel(a, rnd))
+        assert not dedup.add(relabel(b, rnd))
+        assert dedup.graphs == [a, b]
+
+    def test_searches_only_on_collision_or_request(self, monkeypatch):
+        graphs = [cube(), path(5), wagner(), cycle(6)]
+        auts = [_canonical_form(g)[1] for g in graphs]
+        searches = []
+        search = iso._search
+
+        def counted(*args):
+            searches.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(iso, "_search", counted)
+        dedup = IsoDedup()
+        assert all(dedup.add(g) for g in graphs)
+        assert len(searches) == 2  # the cube once the ladder collides, and the ladder
+        # searched or not, each kept graph gives its own search's automorphisms
+        assert [dedup.automorphisms(i) for i in range(4)] == auts
+        assert [dedup.automorphisms(i) for i in range(4)] == auts
+        assert len(searches) == 4  # P5 and C6 on request, nothing twice
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kept_flags_match_brute_force(self, data):
+        # relabelled copies of a few bases, some random, some regular with
+        # equal root invariants; kept exactly when no earlier graph is
+        # isomorphic to it
+        rnd = data.draw(st.randoms(use_true_random=False))
+        bases = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                bases.append(data.draw(st.sampled_from(REGULAR_POOL)))
+            else:
+                n, p = data.draw(st.integers(1, 7)), data.draw(st.floats(0, 1))
+                bases.append(from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                                if rnd.random() < p]))
+        picks = data.draw(st.lists(st.integers(0, len(bases) - 1), min_size=1, max_size=10))
+        graphs = [relabel(bases[i], rnd) for i in picks]
+        dedup, kept = IsoDedup(), []
+        for g in graphs:
+            new = not any(is_isomorphic(g, h) for h in kept)
+            assert dedup.add(g) == new
+            if new:
+                kept.append(g)
+        assert dedup.graphs == kept
+        for i, g in enumerate(kept):
+            assert dedup.automorphisms(i) == _canonical_form(g)[1]
 
 
 def test_import_does_not_load_networkx():
