@@ -35,6 +35,7 @@ from .families import (
 from .graph import classify_radius2_tree, metrics
 from .graph import Diam4, DoubleStarClass, Star
 from .graphio import to_graph6
+from .iso import canonical_hash
 from .solvers import _gc_from_domatic, construct_center_partition, max_partition
 
 
@@ -190,12 +191,12 @@ def check_gc_ge_2dg(max_n=7, budget=None):
 def _rad3_corpus(max_n: int):
     """Enumerable connected graphs of radius >= 3 (full corpus through n=8,
     then trees / unicyclic / sparse girth->=6 graphs up to max_n)."""
-    out = {}  # graph6 -> graph, in first-seen order
+    out = {}  # certificate -> graph, in first-seen order
 
     def push(g):
         m = metrics(g)
         if m.connected and m.radius >= 3:
-            out.setdefault(to_graph6(g), g)
+            out.setdefault(canonical_hash(g), g)
 
     for n in range(1, min(max_n, 8) + 1):
         for g in connected_graphs(n):

@@ -66,6 +66,8 @@ def resolve_partition(source: str, g: Graph) -> Partition:
         raise InvalidParamsError(f"partition is not valid JSON: {exc}") from exc
     if not isinstance(lists, list) or not all(isinstance(c, list) for c in lists):
         raise InvalidParamsError("partition JSON must be a list of vertex lists")
+    if not all(type(v) is int for c in lists for v in c):  # bool is an int subclass
+        raise InvalidParamsError("partition vertices must be integers")
     return Partition.from_lists(g, lists)
 
 
@@ -213,6 +215,20 @@ def _cmd_enumerate(args):
     return 0, {"count": len(lines), "graph6": lines}
 
 
+def _int_from(low: int):
+    """An argparse ``type``: an int of at least ``low``.  argparse reports
+    a bad value as a usage error, which ``_Parser`` raises (exit 1)."""
+
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises argparse's usage errors as ``InvalidParamsError`` (exit 1)
     instead of exiting with status 2, which means "verification failed".
@@ -235,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--graph", required=True,
                            help="file:<path> | g6:<string> | <family>:<params>")
         p.add_argument("--format", choices=fmt, default=fmt[0])
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_int_from(0), default=DEFAULT_BUDGET,
                        help="search node budget")
         p.add_argument("--threads", type=int, default=1,
                        help="worker count (output is identical for any value)")
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run theorem sweeps")
     p.add_argument("--theorem", choices=sorted(checks.REGISTRY))
     p.add_argument("--all", action="store_true")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_int_from(1), default=None, dest="max_n")
     common(p, graph=False, fmt=("csv", "json", "text"))
     p.set_defaults(fn=_cmd_check)
 
@@ -281,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream graph corpora as graph6")
     p.add_argument("--what", required=True,
                    choices=["trees", "unicyclic", "connected", "girth6"])
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--cycle-len", type=int, dest="cycle_len")
+    p.add_argument("--max-n", type=_int_from(1), required=True, dest="max_n")
+    p.add_argument("--cycle-len", type=_int_from(3), dest="cycle_len")
     p.add_argument("--no-radius-cap", action="store_true")
     common(p, graph=False, fmt=("text", "json"))
     p.set_defaults(fn=_cmd_enumerate)

@@ -530,22 +530,16 @@ def _pendant_radii(g: Graph) -> list:
 # -- the key filter in front of each level's dedup ---------------------
 #
 # A grown child reaches its level's IsoDedup only if the element the growth
-# added (a leaf, an edge or a vertex) has the greatest key among the child's
-# elements of that kind whose deletion leaves a graph of the level before
-# (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).  Keys
-# read no vertex index, so a graph's elements of greatest key map onto
-# those of any isomorphic graph; each enumerator's docstring shows from
-# this that no class is lost.  The filter only removes duplicates, and the
-# dedup stays, so correctness never depends on the found automorphisms
-# generating the whole group.  The pendant and chord growths run the
-# first, degree tier on the parent already (``_pendant_points``,
-# ``_chord_points``), before any child is built.
-#
-# On the enumerator calls of one enumerate_iso benchmark round, the growths
-# build 5646 children, 11198 without the parent-side tier; the filter
-# passes 4247 of them with two tiers, 4006 with three and 3979 with four,
-# of which 3953 are new.  The growths run 1941 certificate searches, where
-# certifying every child that passes took 4057.
+# added (a leaf or an edge) has the greatest key among the child's elements
+# of that kind whose deletion leaves a graph of the level before (McKay,
+# "Isomorph-free exhaustive generation", J. Algorithms 1998).  Keys read no
+# vertex index, so a graph's elements of greatest key map onto those of any
+# isomorphic graph; each growth's docstring shows from this that no class
+# is lost.  The filter only removes duplicates, and the dedup stays, so
+# correctness never depends on the found automorphisms generating the whole
+# group.  Both growths run the first, degree tier on the parent already
+# (``_pendant_points``, ``_chord_points``), before any child is built.  A
+# fourth tier passes under 1% fewer children than three.
 _TIERS = 3
 
 
@@ -610,13 +604,6 @@ def _is_cycle_edge(adj: list, e: tuple) -> bool:
     """Whether deleting the edge ``e`` keeps its endpoints connected."""
     a, b = e
     return bool(_closure(adj, 1 << a, adj[a] & ~(1 << b)) >> b & 1)
-
-
-def _is_non_cut(adj: list, v: int) -> bool:
-    """Whether deleting ``v`` leaves a connected graph (of order >= 1)."""
-    full = (1 << len(adj)) - 1
-    rest = full & ~(1 << v)
-    return not rest or _closure(adj, 1 << v, rest & -rest) == full
 
 
 def _pendant_points(adj: list) -> list:
@@ -724,47 +711,15 @@ def enumerate_unicyclic(
             yield from level.graphs
 
 
-_CONNECTED_CACHE: dict[int, list] = {}
-
-
-def connected_graphs(n: int) -> list:
-    """All connected graphs of order n up to isomorphism (desk scale).
-
-    Each graph of order ``n - 1`` gets a new vertex joined to each non-empty
-    vertex set in turn.  A child reaches the dedup only if its new vertex
-    has the greatest key (``_greatest``) among its non-cut vertices.  No
-    class is lost: a connected graph ``G`` of order ``n >= 2`` has a non-cut
-    vertex (a leaf of a spanning tree), and deleting one of greatest key
-    leaves a connected graph of order ``n - 1``; its kept representative,
-    joined to the image of the deleted vertex's neighbourhood, is a child
-    isomorphic to ``G`` whose new vertex has that greatest key.
-    """
-    if n in _CONNECTED_CACHE:
-        return _CONNECTED_CACHE[n]
-    if n == 1:
-        result = [from_edge_list(1, [])]
-    else:
-        dedup = IsoDedup()
-        for parent in connected_graphs(n - 1):
-            for mask in range(1, 1 << (n - 1)):
-                adj = [parent.adj[v] | ((mask >> v & 1) << (n - 1)) for v in range(n - 1)]
-                adj.append(mask)
-                if _greatest(adj, n - 1, range(n - 1), _vertex_key,
-                             lambda v: _is_non_cut(adj, v)):
-                    dedup.add(Graph(n, adj))
-        result = dedup.graphs
-    _CONNECTED_CACHE[n] = result
-    return result
-
-
-def _far_pairs(g: Graph) -> list:
-    """The pairs ``u < v`` of the connected graph ``g`` at distance >= 5, in
-    order: ``v`` lies outside the radius-4 ball around ``u``.  The radius-
-    ``k + 1`` ball around ``u`` is the union of the radius-``k`` balls
-    around the closed neighbourhood of ``u``, so all balls grow together."""
+def _far_pairs(g: Graph, distance: int) -> list:
+    """The pairs ``u < v`` of the connected graph ``g`` at distance >=
+    ``distance`` >= 2, in order: ``v`` lies outside the radius-``distance -
+    1`` ball around ``u``.  The radius-``k + 1`` ball around ``u`` is the
+    union of the radius-``k`` balls around the closed neighbourhood of
+    ``u``, so all balls grow together."""
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
     balls = closed
-    for _ in range(3):
+    for _ in range(distance - 2):
         grown = []
         for row in closed:
             ball = 0
@@ -779,27 +734,28 @@ def _far_pairs(g: Graph) -> list:
     return pairs
 
 
-def girth_at_least_6_graphs(max_n: int) -> list:
-    """Connected graphs that contain a cycle and have girth >= 6.
+def _chord_growth(levels: list, distance: int) -> list:
+    """The graphs of the ``IsoDedup`` levels ``levels`` (the seeds, pairwise
+    non-isomorphic), then every graph grown from them by chords between
+    vertices at distance >= ``distance``, up to isomorphism, chord level by
+    chord level.  A graph with ``k`` chords has ``k`` edges more than its
+    seed, so each chord level is deduplicated on its own.
 
-    Seeded with the unicyclic graphs of cycle length >= 6; chords between
-    vertices at distance >= 5 preserve the girth bound.  The seeds are
-    pairwise non-isomorphic already (one cycle length per growth), and a
-    graph with ``k`` chords has ``n + k`` edges, so each chord level is
-    deduplicated on its own.  A parent gets one chord per orbit of its far
-    pairs under the automorphisms its certificate search finds (run on a
-    collision in its dedup, or on request) and its twin swaps
-    (``_symmetries``), at the orbit's first pair: automorphisms keep
-    distances, so a skipped chord gives a graph isomorphic to an earlier
-    chord's of the same parent.  A child reaches the dedup only if its new
-    edge has the greatest key (the sorted pair of its endpoints' keys,
-    ``_greatest``) among its non-bridge edges.  No class is lost: deleting
-    a non-bridge edge of greatest key from a graph ``G`` with ``k >= 1``
-    chords leaves a connected graph with ``k - 1`` chords, so still with a
-    cycle, and with girth >= 6; the edge lay on a cycle of length >= 6, so
-    its endpoints are at distance >= 5 there.  The kept representative of
-    that graph offers a chord child isomorphic to ``G`` whose new edge has
-    that greatest key.
+    A parent gets one chord per orbit of its far pairs, at the orbit's first
+    pair, under the automorphisms its certificate search found and its twin
+    swaps (``_symmetries``): automorphisms keep distances, so a skipped
+    chord gives a graph isomorphic to an earlier chord's of the same parent.
+    A child reaches the dedup only if its new edge has the greatest key (the
+    sorted pair of its endpoints' keys, ``_greatest``) among its non-bridge
+    edges.  No class is lost when the seeds of each order are all its
+    connected graphs of girth > ``distance`` with the seeds' edge count: let
+    ``G`` be such a graph with ``k >= 1`` edges more.  Deleting a non-bridge
+    edge ``uv`` of greatest key leaves a connected graph ``H`` with
+    ``k - 1`` chords whose cycles are cycles of ``G``, so of girth >
+    ``distance``; ``uv`` closes a cycle of length ``d_H(u, v) + 1`` in
+    ``G``, so ``d_H(u, v) >= distance``.  By induction on ``k``, the kept
+    representative of ``H`` offers a chord child isomorphic to ``G`` whose
+    new edge has that greatest key.
 
     The degree tier runs on the parent first (``_chord_points``): it reads
     only degrees and cycle edges, which automorphisms keep, so the far pairs
@@ -809,19 +765,42 @@ def girth_at_least_6_graphs(max_n: int) -> list:
     (``_leaders``).
     """
     graphs = []
-    frontier = [(level, i) for cl in range(6, max_n + 1)
-                for level in _pendant_growth(generate(spec("cycle", cl)), max_n, None)
-                for i in range(len(level.graphs))]
+    frontier = [(level, i) for level in levels for i in range(len(level.graphs))]
     while frontier:
         dedup = IsoDedup()
         for level, i in frontier:
             g = level.graphs[i]
             graphs.append(g)
             edges = g.edges()
-            for u, v in _leaders(level, i, _chord_points(g.adj, edges, _far_pairs(g))):
+            for u, v in _leaders(level, i, _chord_points(g.adj, edges, _far_pairs(g, distance))):
                 child = g._plus_edge(u, v)
                 if _greatest(child.adj, (u, v), edges, _edge_key,
                              lambda e: _is_cycle_edge(child.adj, e)):
                     dedup.add(child)
         frontier = [(dedup, i) for i in range(len(dedup.graphs))]
     return graphs
+
+
+_CONNECTED_CACHE: dict[int, list] = {}
+
+
+def connected_graphs(n: int) -> list:
+    """All connected graphs of order n up to isomorphism (desk scale), by
+    edge count: the trees of order ``n``, which are its connected graphs
+    with fewest edges, and their chord levels at distance >= 2, as every
+    graph has girth > 2."""
+    if n not in _CONNECTED_CACHE:
+        trees = list(_pendant_growth(from_edge_list(1, []), n, None))[-1:]  # order n
+        _CONNECTED_CACHE[n] = _chord_growth(trees, 2)
+    return _CONNECTED_CACHE[n]
+
+
+def girth_at_least_6_graphs(max_n: int) -> list:
+    """Connected graphs of order <= max_n that contain a cycle and have
+    girth >= 6: the unicyclic graphs of cycle length >= 6 (one cycle length
+    per pendant growth, so pairwise non-isomorphic) and their chord levels
+    at distance >= 5, as a chord between vertices at distance ``d`` closes
+    only cycles of length ``d + 1`` or more."""
+    return _chord_growth([level for cl in range(6, max_n + 1)
+                          for level in _pendant_growth(generate(spec("cycle", cl)), max_n, None)],
+                         5)

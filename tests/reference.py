@@ -125,10 +125,10 @@ def reference_pendant_growth(base, max_n, radius_cap):
     return out
 
 
-def reference_chord_levels(seeds):
+def reference_chord_levels(seeds, distance=5):
     """``seeds`` and every graph reached by adding chords between vertices
-    at distance >= 5, trying every pair, first of each class in the order
-    reached."""
+    at distance >= ``distance``, trying every pair, first of each class in
+    the order reached."""
     seen, out = set(), []
     frontier = _new_classes(seeds, seen)
     while frontier:
@@ -137,7 +137,7 @@ def reference_chord_levels(seeds):
         for g in frontier:
             for u in range(g.n):
                 dist = g.bfs_distances(u)
-                children += [_with_edge(g, u, v) for v in range(u + 1, g.n) if dist[v] >= 5]
+                children += [_with_edge(g, u, v) for v in range(u + 1, g.n) if dist[v] >= distance]
         frontier = _new_classes(children, seen)
     return out
 

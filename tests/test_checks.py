@@ -7,11 +7,19 @@ import pytest
 
 from gcoalition import checks
 
+from .reference import reference_certificate
+
 
 class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             checks.check_theorem("nope")
+
+    def test_rad3_instances_are_pairwise_non_isomorphic(self):
+        # the corpus meets some classes in two enumerators, under different
+        # labellings, and keeps one graph of each
+        certs = [reference_certificate(g) for g in checks._rad3_corpus(9)]
+        assert len(set(certs)) == len(certs)
 
     def test_rows_sorted(self):
         rows = checks.check_theorem("gc_cycles", max_n=8)

@@ -114,11 +114,24 @@ class TestErrors:
          "--budget", "x"],
         ["compute", "--kind", "gc"],
         ["nosuch", "--graph", "path:3"],
-    ], ids=["invalid_choice", "non_integer_budget", "missing_graph", "unknown_subcommand"])
+        ["compute", "--kind", "gc", "--graph", "path:4", "--budget", "-5"],
+        ["enumerate", "--what", "connected", "--max-n", "-1"],
+        ["check", "--theorem", "gc_paths", "--max-n", "0"],
+        ["enumerate", "--what", "unicyclic", "--cycle-len", "2", "--max-n", "5"],
+    ], ids=["invalid_choice", "non_integer_budget", "missing_graph", "unknown_subcommand",
+            "negative_budget", "max_n_below_1", "check_max_n_below_1", "cycle_len_below_3"])
     def test_malformed_arguments_exit1(self, argv):
         code, payload = _validated(argv)
         assert code == 1
         assert payload["command"] == argv[0]
+        assert payload["error"]["type"] == "InvalidParamsError"
+
+    @pytest.mark.parametrize("partition", ["[[0.5]]", '[["a"]]', "[[null]]", "[[[0]]]",
+                                           "[[true],[1,2]]"])
+    @pytest.mark.parametrize("argv", [["verify", "--kind", "gc"], ["gcg"]])
+    def test_non_integer_partition_member_exit1(self, argv, partition):
+        code, payload = _validated(argv + ["--graph", "path:3", "--partition", partition])
+        assert code == 1
         assert payload["error"]["type"] == "InvalidParamsError"
 
     def test_no_arguments_exit1(self):

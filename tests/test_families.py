@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcoalition import (
+    Graph,
     InvalidParamsError,
     NoKnownConstructionError,
     NoKnownFormulaError,
@@ -33,7 +34,6 @@ from gcoalition.families import (
     _far_pairs,
     _greatest,
     _is_cycle_edge,
-    _is_non_cut,
     _leaders,
     _leaf_supports,
     _orbit_leaders,
@@ -56,8 +56,8 @@ from .reference import (
 
 def _same_classes(got, want, level=lambda g: g.n):
     """``got`` holds one graph of each class of ``want``, and ``level``
-    (the order, or the chord count of a girth >= 6 graph) never decreases
-    along it."""
+    (the order, the edge count of a connected graph of one order, or the
+    chord count of a girth >= 6 graph) never decreases along it."""
     got = list(got)
     certs = [reference_certificate(g) for g in got]
     assert len(set(certs)) == len(certs)  # no class repeats
@@ -106,7 +106,8 @@ def _orbits(points, perms):
 
 def _assert_orbits_match(g):
     """``_symmetries`` gives the orbits of the whole automorphism group on
-    vertices, non-edges and far pairs, and every automorphism keeps the
+    vertices, non-edges (the pairs at distance >= 2) and the pairs at
+    distance >= 5, and every automorphism keeps the
     root colours that ``_leaders`` reads.  The growths keep one point per
     orbit of the group ``_symmetries`` generates: a permutation that is no
     automorphism would merge orbits and lose classes, and a smaller group
@@ -118,28 +119,26 @@ def _assert_orbits_match(g):
     colors = dedup.root_colors(0)
     assert all(colors[gamma[v]] == colors[v] for gamma in group for v in range(g.n))
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    for points in ([(v,) for v in range(g.n)], non_edges, _far_pairs(g)):
+    assert _far_pairs(g, 2) == non_edges
+    for points in ([(v,) for v in range(g.n)], non_edges, _far_pairs(g, 5)):
         assert _orbits(points, gens) == _orbits(points, group)
         # skipping the search when root colours part every point changes nothing
         assert _leaders(dedup, 0, points) == _orbit_leaders(points, gens)
 
 
 def _filter_winners(g):
-    """The leaves, edges and vertices of ``g`` that the growth filters may
-    delete and that have the greatest key of their kind."""
-    adj, vertices, edges = list(g.adj), range(g.n), g.edges()
+    """The leaves and edges of ``g`` that the growth filters may delete and
+    that have the greatest key of their kind, and the edges they may
+    delete."""
+    adj, edges = list(g.adj), g.edges()
     supports = _leaf_supports(adj)
     top = {s for s in supports if _greatest(adj, s, supports - {s}, _vertex_key)}
-    leaves = {x for x in vertices if g.degree(x) == 1 and adj[x].bit_length() - 1 in top}
+    leaves = {x for x in range(g.n) if g.degree(x) == 1 and adj[x].bit_length() - 1 in top}
     cycle_edges = [e for e in edges if _is_cycle_edge(adj, e)]
     edges = {e for e in cycle_edges
              if _greatest(adj, e, [f for f in edges if f != e], _edge_key,
                           lambda f: _is_cycle_edge(adj, f))}
-    non_cut = [v for v in vertices if _is_non_cut(adj, v)]
-    vertices = {v for v in non_cut
-                if _greatest(adj, v, [w for w in vertices if w != v], _vertex_key,
-                             lambda w: _is_non_cut(adj, w))}
-    return leaves, edges, vertices, set(cycle_edges), set(non_cut)
+    return leaves, edges, set(cycle_edges)
 
 
 class TestSpecs:
@@ -332,6 +331,12 @@ class TestEnumerators:
         want = reference_pendant_growth(generate(spec("path", 1)), 10, None)
         _same_classes(enumerate_trees(10), want)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_connected_matches_reference(self, n):
+        trees = reference_pendant_growth(generate(spec("path", 1)), n, None)
+        want = reference_chord_levels([g for g in trees if g.n == n], distance=2)
+        _same_classes(connected_graphs(n), want, level=Graph.edge_count)
+
     def test_girth6_matches_reference(self):
         seeds = [g for cl in range(6, 11)
                  for g in reference_pendant_growth(generate(spec("cycle", cl)), 10, None)]
@@ -375,17 +380,13 @@ class TestEnumerators:
         g = _random_connected(n, data)
         perm = data.draw(st.permutations(range(n)))
         h = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        leaves, edges, vertices, cycle_edges, non_cut = _filter_winners(g)
+        leaves, edges, cycle_edges = _filter_winners(g)
         moved = lambda es: {tuple(sorted((perm[u], perm[v]))) for u, v in es}
-        assert _filter_winners(h) == ({perm[x] for x in leaves}, moved(edges),
-                                      {perm[v] for v in vertices}, moved(cycle_edges),
-                                      {perm[v] for v in non_cut})
-        # what the filters may delete, against deleting it
+        assert _filter_winners(h) == ({perm[x] for x in leaves}, moved(edges), moved(cycle_edges))
+        # what the chord filter may delete, against deleting it
         es = g.edges()
         assert cycle_edges == {e for e in es
                                if from_edge_list(n, [f for f in es if f != e]).is_connected()}
-        assert non_cut == {v for v in range(n) if n == 1 or from_edge_list(
-            n - 1, [(a - (a > v), b - (b > v)) for a, b in es if v not in (a, b)]).is_connected()}
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_orbits_match_brute_force(self, n):
